@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .category import corepresented_system, nerve_complex
 from .coherence import coherence_check, trivialize_report
-from .complexes import build_complex, limit_direct
+from .complexes import limit_complex, limit_direct
 from .gen import random_cofinal_subset
 from .io import (
     DocumentError,
@@ -103,6 +103,7 @@ def _seed() -> int:
 
 
 def _block_stats(report: Report, cx) -> None:
+    """Tuple count and dimension per degree of the complex actually built."""
     for n in range(cx.n_max + 1):
         report.stats[f"tuples[{n}]"] = len(cx.blocks[n])
         report.stats[f"dimension[{n}]"] = cx.total_ranks[n]
@@ -111,7 +112,7 @@ def _block_stats(report: Report, cx) -> None:
 def _cmd_limit(args) -> int:
     start = time.perf_counter()
     system = parse_system(args.system)
-    cx = build_complex(system, args.degree + 1, strict=args.strict)
+    cx = limit_complex(system, args.degree + 1, degenerate=args.degenerate)
     group = cx.cohomology(args.degree)
     report = Report(command=args.echo)
     report.results[f"lim^{args.degree}"] = render_invariants(group)
@@ -135,7 +136,7 @@ def _cmd_verify(args) -> int:
     )
     report.results["all bonds surjective"] = vrep.all_surjective
     degrees = range(args.max_degree + 1)
-    cx = build_complex(system, args.max_degree + 1)
+    cx = limit_complex(system, args.max_degree + 1)
     report.verdict(
         "differential squares to zero",
         True,
@@ -157,7 +158,7 @@ def _cmd_verify(args) -> int:
         for _ in range(args.spot_checks):
             subset = random_cofinal_subset(rng, system.index)
             restricted = system.restrict(subset)
-            sub_cx = build_complex(restricted, args.max_degree + 1)
+            sub_cx = limit_complex(restricted, args.max_degree + 1)
             for n in degrees:
                 if sub_cx.cohomology(n) != groups[n]:
                     failures.append((sorted(subset), n))
@@ -398,7 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", parents=[common], help="derived limit of a system")
     p.add_argument("--system", required=True, help="system document path")
     p.add_argument("--degree", type=int, required=True, help="derived-limit degree")
-    p.add_argument("--strict", action="store_true", help="strictly increasing tuples only")
+    p.add_argument(
+        "--degenerate",
+        action="store_true",
+        help="oracle route: the degenerate-tuple complex of the system as given, "
+        "every weakly increasing tuple and no collapse of equivalent indices "
+        "(same groups, larger complex)",
+    )
     p.set_defaults(run=_cmd_limit)
 
     p = sub.add_parser("verify", parents=[common], help="verification suite on a system")
@@ -458,6 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str) -> int:
+    """Exit status 2 with a one-line message on stderr."""
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -465,12 +478,14 @@ def main(argv=None) -> int:
     args.echo = "rooslab " + " ".join(argv)
     try:
         return args.run(args)
-    except DocumentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except (ValueError, ArithmeticError) as err:  # DocumentError is a ValueError
+        return _fail(str(err))
+    except RecursionError:
+        return _fail("input too large: the computation exceeded the recursion limit")
+    except MemoryError:
+        return _fail("input too large: the computation ran out of memory")
+    except KeyError as err:
+        return _fail(f"missing key {err}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,18 @@ a degree-(n-1) cochain x to the degree-n cochain whose entry at t is
     bond(t0, t1) applied to x at the 0th face of t,
     plus sum over i = 1..n of (-1)^i times x at the i-th face of t,
 
-where the i-th face deletes entry i. Degenerate tuples (repeated entries) are
-included by default; for partial orders a strict-tuples variant is available
-behind a flag and must agree on cohomology (it is tested, never assumed).
+where the i-th face deletes entry i.
+
+``limit_complex`` is the route every derived-limit computation takes. It
+validates the system it is given, collapses each equivalence class of the
+index to one representative (every element is isomorphic to its
+representative), and builds the normalized complex on the resulting partial
+order: strictly increasing tuples only, the non-degenerate simplices of the
+nerve. Normalized cochains have the same cohomology as all cochains (Roos;
+C. U. Jensen, LNM 254, 1972), and the normalized complex is far smaller.
+``build_complex`` with its default ``strict=False`` keeps the degenerate
+tuples (repeated entries) on any quasi-order; it is the independent oracle
+route the tests compare against, and the complex ``contract`` needs.
 
 Degree -1 is the zero module, so the degree-0 differential is a matrix with
 zero columns, and cohomology in degree 0 is the kernel of the degree-1
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 from .linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
 from .orders import QuasiOrder, chains, face
-from .systems import InverseSystem, validate_system
+from .systems import InverseSystem, collapse_equivalences, validate_system
 
 
 class InvalidSystemError(ValueError):
@@ -46,20 +55,27 @@ class RoosComplex:
     differentials compose to zero over the ring) is verified at construction.
     """
 
-    __slots__ = ("ring", "n_max", "blocks", "block_ranks", "offsets", "total_ranks", "diffs", "strict", "system")
+    __slots__ = (
+        "ring", "n_max", "blocks", "block_ranks", "offsets", "total_ranks", "diffs",
+        "strict", "system", "_positions",
+    )
 
     def __init__(self, ring: Ring, blocks, block_ranks, diffs, strict: bool = False, system=None):
         n_max = len(blocks) - 1
         offsets = []
         totals = []
+        positions = []
         for n in range(n_max + 1):
             offs = []
+            where = {}
             acc = 0
-            for r in block_ranks[n]:
+            for label, r in zip(blocks[n], block_ranks[n]):
                 offs.append(acc)
+                where[label] = (acc, r)
                 acc += r
             offsets.append(tuple(offs))
             totals.append(acc)
+            positions.append(where)
         for n in range(n_max + 1):
             expected = (totals[n], totals[n - 1] if n else 0)
             if diffs[n].shape != expected:
@@ -78,6 +94,7 @@ class RoosComplex:
         object.__setattr__(self, "diffs", tuple(diffs))
         object.__setattr__(self, "strict", strict)
         object.__setattr__(self, "system", system)
+        object.__setattr__(self, "_positions", tuple(positions))
 
     def __setattr__(self, *_):
         raise AttributeError("RoosComplex is immutable")
@@ -90,8 +107,11 @@ class RoosComplex:
         return self.diffs[n]
 
     def block_position(self, n: int, label):
-        i = self.blocks[n].index(label)
-        return self.offsets[n][i], self.block_ranks[n][i]
+        """(offset, rank) of the block labeled ``label`` in degree n."""
+        try:
+            return self._positions[n][label]
+        except KeyError:
+            raise ValueError(f"no block {label!r} in degree {n}") from None
 
     def cohomology(self, n: int) -> GroupInvariants:
         if not 0 <= n <= self.n_max - 1:
@@ -101,13 +121,24 @@ class RoosComplex:
         return cohomology_at(self.diffs[n], self.diffs[n + 1], self.ring)
 
 
-def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosComplex:
-    """Assemble differentials block-by-block over the tuple enumeration."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+def _require_valid(s: InverseSystem) -> None:
     rep = validate_system(s)
     if not rep.ok:
         raise InvalidSystemError(rep.violations)
+
+
+def build_complex(
+    s: InverseSystem, n_max: int, strict: bool = False, validate: bool = True
+) -> RoosComplex:
+    """Assemble differentials block-by-block over the tuple enumeration.
+
+    ``validate=False`` skips functoriality validation, for callers that
+    validated the system (or the one it was collapsed from) already.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if validate:
+        _require_valid(s)
     q = s.index
     blocks = [chains(q, n, strict=strict) for n in range(n_max + 1)]
     block_ranks = [[s.rank(t[0]) for t in blocks[n]] for n in range(n_max + 1)]
@@ -150,11 +181,27 @@ def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosCom
     return RoosComplex(s.ring, blocks, block_ranks, diffs, strict=strict, system=s)
 
 
-def derived_limit(s: InverseSystem, n: int, strict: bool = False) -> GroupInvariants:
-    """lim^n of the system: degree-n cohomology of the complex built to n+1."""
+def limit_complex(s: InverseSystem, n_max: int, degenerate: bool = False) -> RoosComplex:
+    """The complex whose cohomology in degrees 0..n_max-1 is lim^n of s.
+
+    Validates s once, before anything else: collapsing keeps one element
+    per equivalence class, so it would hide a bad bond between equivalent
+    elements. Then collapses equivalences and builds the normalized
+    (strict-tuple) complex to n_max. With ``degenerate`` it builds the
+    degenerate-tuple complex of s itself instead, with no collapse: the
+    oracle route.
+    """
+    _require_valid(s)
+    if degenerate:
+        return build_complex(s, n_max, validate=False)
+    return build_complex(collapse_equivalences(s), n_max, strict=True, validate=False)
+
+
+def derived_limit(s: InverseSystem, n: int, degenerate: bool = False) -> GroupInvariants:
+    """lim^n of the system: degree-n cohomology of ``limit_complex`` built to n+1."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return build_complex(s, n + 1, strict=strict).cohomology(n)
+    return limit_complex(s, n + 1, degenerate=degenerate).cohomology(n)
 
 
 def limit_direct(s: InverseSystem) -> GroupInvariants:

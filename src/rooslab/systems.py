@@ -194,6 +194,8 @@ def collapse_equivalences(s: InverseSystem) -> InverseSystem:
     way equivalence-rich quasi-orders do.
     """
     reps = [cls[0] for cls in s.index.equivalence_classes()]
+    if len(reps) == len(s.index):
+        return s
     return s.restrict(reps)
 
 

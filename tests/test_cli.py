@@ -106,12 +106,43 @@ def test_limit_command(tmp_path, capsys):
     assert payload["command"].startswith("rooslab limit")
 
 
+def _doubled_cospan_system():
+    """The doubling cospan with its bottom doubled into an equivalent pair."""
+    q = QuasiOrder(["x", "w", "y", "z"], [("x", "w"), ("w", "x"), ("x", "y"), ("x", "z")])
+    ident = IntMatrix([[1]])
+    two = IntMatrix([[2]])
+    return InverseSystem(
+        q,
+        Ring.integers(),
+        {e: 1 for e in q.elements},
+        {("x", "w"): ident, ("w", "x"): ident, ("x", "y"): two, ("x", "z"): two},
+    )
+
+
 def test_limit_strict_variant(tmp_path, capsys):
-    path = str(tmp_path / "sys.json")
-    write_system(_cospan_system(), path)
-    for extra in ([], ["--strict"]):
-        assert main(["limit", "--system", path, "--degree", "1", "--json"] + extra) == 0
-        assert json.loads(capsys.readouterr().out)["results"]["lim^1"] == "Z/2"
+    # The default (normalized) route against the --degenerate oracle; the
+    # stats describe the complex each one built.
+    cases = [
+        (_cospan_system(), "tuples[1]", 2, 5),
+        (_doubled_cospan_system(), "tuples[0]", 3, 4),
+    ]
+    for i, (system, key, normalized_count, degenerate_count) in enumerate(cases):
+        path = str(tmp_path / f"sys{i}.json")
+        write_system(system, path)
+        payloads = []
+        for extra in ([], ["--degenerate"]):
+            assert main(["limit", "--system", path, "--degree", "1", "--json"] + extra) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        normalized, degenerate = payloads
+        assert normalized["results"] == degenerate["results"]
+        assert normalized["results"]["lim^1"] == "Z/2"
+        assert normalized["stats"][key] == normalized_count
+        assert degenerate["stats"][key] == degenerate_count
+
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--system", path, "--degree", "1", "--strict"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_verify_directed_system(tmp_path, capsys, monkeypatch):
@@ -209,6 +240,38 @@ def test_cohere_trivialize(tmp_path, capsys):
     assert main(args + ["--budget", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["results"]["witness"] == {"default": 0, "exceptions": []}
+
+
+def test_deep_trivialize_exits_two_without_traceback(tmp_path, capsys):
+    # Two members on 30 columns of height about 40 (1,200 cells) with a
+    # budget above the cell count: the search descends one level per cell
+    # and runs past the recursion limit.
+    tall = GridFun.make(EvcFun.of([40] * 30), 2, 0, {(0, 0): 1})
+    short = GridFun.make(EvcFun.of([39] * 30), 2, 0, {})
+    path = str(tmp_path / "deep.json")
+    write_document(family_to_doc(FamilySpec.of(2, [tall, short])), path)
+    argv = ["cohere", "trivialize", "--family", path, "--budget", "2000", "--horizon", "40"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "recursion limit" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc, says",
+    [(MemoryError(), "out of memory"), (KeyError("x"), "missing key 'x'")],
+)
+def test_resource_errors_exit_two_with_one_line(tmp_path, capsys, monkeypatch, exc, says):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr("rooslab.cli._cmd_limit", boom)
+    assert main(["limit", "--system", str(tmp_path / "s.json"), "--degree", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
 
 
 def test_tree_commands(tmp_path, capsys):

@@ -14,6 +14,7 @@ from rooslab.complexes import (
     contract,
     delta,
     derived_limit,
+    limit_complex,
     limit_direct,
 )
 from rooslab.gen import (
@@ -24,7 +25,7 @@ from rooslab.gen import (
 )
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
 from rooslab.orders import QuasiOrder
-from rooslab.systems import InverseSystem, collapse_equivalences, restrict
+from rooslab.systems import InverseSystem, collapse_equivalences, restrict, validate_system
 
 
 def _one_point(ring=Ring.integers()):
@@ -143,7 +144,8 @@ def test_cofinal_restriction_preserves_derived_limits():
 
 def test_collapse_preserves_derived_limits():
     # Unlike cofinal restriction, this needs no directedness: every element
-    # is isomorphic to its class representative.
+    # is isomorphic to its class representative. The degenerate route on the
+    # uncollapsed system is the oracle for both routes on the collapsed one.
     rng = random.Random(77001)
     seen_nontrivial = 0
     for _ in range(30):
@@ -153,7 +155,9 @@ def test_collapse_preserves_derived_limits():
         if len(c.index) < len(s.index):
             seen_nontrivial += 1
         for n in range(3):
-            assert derived_limit(s, n) == derived_limit(c, n)
+            oracle = derived_limit(s, n, degenerate=True)
+            assert derived_limit(c, n, degenerate=True) == oracle
+            assert derived_limit(c, n) == oracle
     assert seen_nontrivial >= 3
 
 
@@ -166,12 +170,57 @@ def test_maximum_element_kills_positive_degrees():
 
 
 def test_strict_variant_matches_on_partial_orders():
+    # Partial orders, then quasi-orders with nontrivial equivalence classes,
+    # which the default route collapses before enumerating strict tuples.
     rng = random.Random(515)
-    for _ in range(15):
-        q = random_quasi_order(rng, partial=True)
-        s = random_system(rng, index=q)
+    systems = [
+        random_system(rng, index=random_quasi_order(rng, partial=True)) for _ in range(15)
+    ]
+    while len(systems) < 25:
+        s = random_system(rng, max_elements=4)
+        if not s.index.is_partial():
+            systems.append(s)
+    for s in systems:
         for n in range(3):
-            assert derived_limit(s, n, strict=True) == derived_limit(s, n)
+            assert derived_limit(s, n) == derived_limit(s, n, degenerate=True)
+
+
+def test_limit_complex_is_normalized_on_the_collapsed_index():
+    q = QuasiOrder(["a", "b", "t"], [("a", "b"), ("b", "a"), ("a", "t")])
+    ident = IntMatrix([[1]])
+    s = InverseSystem(
+        q,
+        Ring.integers(),
+        {"a": 1, "b": 1, "t": 1},
+        {("a", "b"): ident, ("b", "a"): ident, ("a", "t"): IntMatrix([[3]])},
+    )
+    cx = limit_complex(s, 2)
+    assert cx.strict
+    assert cx.blocks[1] == (("a", "t"),)
+    assert cx.blocks[2] == ()
+    oracle = limit_complex(s, 2, degenerate=True)
+    assert not oracle.strict
+    assert oracle.dimension(1) == 7 > cx.dimension(1)
+    for n in range(2):
+        assert cx.cohomology(n) == oracle.cohomology(n)
+
+
+def test_invalid_bonds_between_equivalent_elements_are_rejected():
+    # The collapse keeps u alone and would look valid; the bonds u <-> v are
+    # not mutually inverse, so the system must be rejected before it.
+    q = QuasiOrder(["u", "v"], [("u", "v"), ("v", "u")])
+    s = InverseSystem(
+        q,
+        Ring.integers(),
+        {"u": 1, "v": 1},
+        {("u", "v"): IntMatrix([[2]]), ("v", "u"): IntMatrix([[1]])},
+    )
+    assert validate_system(collapse_equivalences(s)).ok
+    for degenerate in (False, True):
+        with pytest.raises(InvalidSystemError):
+            derived_limit(s, 0, degenerate=degenerate)
+        with pytest.raises(InvalidSystemError):
+            limit_complex(s, 1, degenerate=degenerate)
 
 
 def test_strict_complex_is_smaller():
@@ -202,6 +251,8 @@ def test_cochain_block_access_and_arithmetic():
     assert w.degree == 1
     with pytest.raises(ValueError):
         Cochain(cx, 5, [])
+    with pytest.raises(ValueError, match="no block"):
+        u.value(("w",))
 
 
 def test_contract_frozen_example():

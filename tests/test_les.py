@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rooslab.complexes import derived_limit
 from rooslab.gen import random_ses
 from rooslab.les import Field, les_of_ses
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring
@@ -131,6 +132,23 @@ def test_random_coupled_ses():
         rep = les_of_ses(random_ses(rng, split=False), 2)
         assert rep.ok
         assert len(rep.positions) == 4 * 9
+
+
+def test_groups_match_degenerate_derived_limits():
+    # les_of_ses reads its groups from normalized complexes on the collapsed
+    # index; the degenerate-tuple route on each uncollapsed system is the
+    # oracle.
+    rng = random.Random(5353)
+    draws = quasi = 0
+    while draws < 6 or quasi < 2:
+        e = random_ses(rng, split=(draws % 2 == 0))
+        draws += 1
+        quasi += not e.mid.index.is_partial()
+        rep = les_of_ses(e, 1, fields=(2,))
+        parts = {"sub": e.sub, "mid": e.mid, "quot": e.quot}
+        assert len(rep.groups) == 7
+        for (part, n), group in rep.groups.items():
+            assert group == derived_limit(parts[part], n, degenerate=True)
 
 
 def test_modular_ring_field_selection():
