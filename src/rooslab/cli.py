@@ -27,17 +27,17 @@ from .io import (
     family_to_doc,
     parse_category,
     parse_family,
+    parse_ring,
     parse_ses,
     parse_system,
     parse_tree,
     render_invariants,
-    ring_tag,
     system_to_doc,
     write_document,
 )
 from .les import les_of_ses
 from .linalg import GroupInvariants
-from .systems import TRUNCATION_NOTE, TruncationSpec, truncated_A, validate_system
+from .systems import TRUNCATION_NOTE, TruncationSpec, surjective_bonds, truncated_A, validate_system
 from .trees import basecase_tree, branch_separation
 
 
@@ -116,7 +116,7 @@ def _cmd_limit(args) -> int:
     group = cx.cohomology(args.degree)
     report = Report(command=args.echo)
     report.results[f"lim^{args.degree}"] = render_invariants(group)
-    report.results["ring"] = ring_tag(system.ring)
+    report.results["ring"] = system.ring.render()
     _block_stats(report, cx)
     report.stats["seconds"] = round(time.perf_counter() - start, 3)
     return _emit(report, args)
@@ -134,7 +134,7 @@ def _cmd_verify(args) -> int:
         if vrep.ok
         else f"bad triples: {list(vrep.violations[:3])}",
     )
-    report.results["all bonds surjective"] = vrep.all_surjective
+    report.results["all bonds surjective"] = all(surjective_bonds(system).values())
     degrees = range(args.max_degree + 1)
     cx = limit_complex(system, args.max_degree + 1)
     report.verdict(
@@ -366,7 +366,7 @@ def _cmd_make_a(args) -> int:
         spec = TruncationSpec(
             columns=len(family[0]),
             family=tuple(tuple(f) for f in family),
-            ring=_parse_ring_flag(args.ring),
+            ring=parse_ring(args.ring),
         )
         system = truncated_A(spec)
     except ValueError as err:
@@ -378,12 +378,6 @@ def _cmd_make_a(args) -> int:
     if args.out:
         write_document(doc, args.out)
     return 0
-
-
-def _parse_ring_flag(tag: str):
-    from .io import parse_ring
-
-    return parse_ring(tag)
 
 
 def build_parser() -> argparse.ArgumentParser:

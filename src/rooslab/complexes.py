@@ -30,15 +30,8 @@ from __future__ import annotations
 
 from .linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
 from .orders import QuasiOrder, chains, face
-from .systems import InverseSystem, collapse_equivalences, validate_system
-
-
-class InvalidSystemError(ValueError):
-    """The system failed functoriality validation; carries the violations."""
-
-    def __init__(self, violations):
-        super().__init__(f"system fails functoriality at triples {list(violations)[:5]}")
-        self.violations = tuple(violations)
+from .systems import InvalidSystemError  # noqa: F401  (importable from here too)
+from .systems import InverseSystem, collapse_equivalences, require_functorial
 
 
 class IndexNotDominatingError(ValueError):
@@ -121,24 +114,15 @@ class RoosComplex:
         return cohomology_at(self.diffs[n], self.diffs[n + 1], self.ring)
 
 
-def _require_valid(s: InverseSystem) -> None:
-    rep = validate_system(s)
-    if not rep.ok:
-        raise InvalidSystemError(rep.violations)
-
-
-def build_complex(
-    s: InverseSystem, n_max: int, strict: bool = False, validate: bool = True
-) -> RoosComplex:
+def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosComplex:
     """Assemble differentials block-by-block over the tuple enumeration.
 
-    ``validate=False`` skips functoriality validation, for callers that
-    validated the system (or the one it was collapsed from) already.
+    Raises :class:`InvalidSystemError` on a non-functorial system; for one
+    checked already, or restricted from one that passed, that is a lookup.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if validate:
-        _require_valid(s)
+    require_functorial(s)
     q = s.index
     blocks = [chains(q, n, strict=strict) for n in range(n_max + 1)]
     block_ranks = [[s.rank(t[0]) for t in blocks[n]] for n in range(n_max + 1)]
@@ -191,10 +175,10 @@ def limit_complex(s: InverseSystem, n_max: int, degenerate: bool = False) -> Roo
     degenerate-tuple complex of s itself instead, with no collapse: the
     oracle route.
     """
-    _require_valid(s)
+    require_functorial(s)
     if degenerate:
-        return build_complex(s, n_max, validate=False)
-    return build_complex(collapse_equivalences(s), n_max, strict=True, validate=False)
+        return build_complex(s, n_max)
+    return build_complex(collapse_equivalences(s), n_max, strict=True)
 
 
 def derived_limit(s: InverseSystem, n: int, degenerate: bool = False) -> GroupInvariants:

@@ -18,7 +18,7 @@ from .category import CategoryError, FiniteCategory
 from .coherence import EvcFun, FamilySpec, GridFun
 from .linalg import GroupInvariants, IntMatrix, Ring
 from .orders import QuasiOrder
-from .systems import InverseSystem, SystemSES, validate_ses, validate_system
+from .systems import InverseSystem, SystemSES, require_functorial, validate_ses
 from .trees import TreeInstance, TreeStage, validate_tree
 
 
@@ -41,11 +41,8 @@ def _need(doc, key, where, kind=None):
     return value
 
 
-def ring_tag(ring: Ring) -> str:
-    return "Z" if ring.is_integers else f"Z/{ring.modulus}"
-
-
 def parse_ring(tag) -> Ring:
+    """The ring of a tag ``Ring.render`` writes: "Z" or "Z/m" with m >= 2."""
     if tag == "Z":
         return Ring.integers()
     if isinstance(tag, str) and tag.startswith("Z/"):
@@ -81,7 +78,7 @@ def system_to_doc(s: InverseSystem) -> dict:
         if not isinstance(e, str) or "->" in e:
             _fail("indices", f"label {e!r} is not serializable (string without '->')")
     return {
-        "ring": ring_tag(s.ring),
+        "ring": s.ring.render(),
         "indices": list(s.index.elements),
         "leq": [[a, b] for a, b in s.index.related_pairs(include_diagonal=False)],
         "objects": {e: s.rank(e) for e in s.index.elements},
@@ -133,14 +130,9 @@ def system_from_doc(doc, where: str = "system") -> InverseSystem:
         )
     try:
         system = InverseSystem(order, ring, ranks, bonds)
-    except ValueError as err:
+        require_functorial(system)
+    except ValueError as err:  # BondError and InvalidSystemError included
         _fail(where, str(err))
-    report = validate_system(system)
-    if not report.ok:
-        _fail(
-            where,
-            f"bonds are not functorial; first bad triples: {list(report.violations[:3])}",
-        )
     return system
 
 
@@ -359,18 +351,25 @@ def parse_invariants(text: str) -> GroupInvariants:
 
 def read_document(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
         _fail(path, "no such file")
+    except OSError as err:
+        _fail(path, f"cannot read: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        _fail(path, f"not UTF-8 text: {err.reason} at byte {err.start}")
     except json.JSONDecodeError as err:
         _fail(f"{path}:{err.lineno}:{err.colno}", err.msg)
 
 
 def write_document(doc: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as err:
+        _fail(path, f"cannot write: {err.strerror or err}")
 
 
 def _located(parser, path):

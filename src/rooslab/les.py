@@ -353,11 +353,12 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             inject={r: e.inject[r] for r in reps},
             project={r: e.project[r] for r in reps},
         )
-    # validate_ses checked all three systems before the collapse, and the
-    # collapsed index is a partial order: normalized complexes, no re-check.
-    cx_sub = build_complex(e.sub, n_max + 2, strict=True, validate=False)
-    cx_mid = build_complex(e.mid, n_max + 1, strict=True, validate=False)
-    cx_quot = build_complex(e.quot, n_max + 1, strict=True, validate=False)
+    # validate_ses checked all three systems before the collapse; their
+    # restrictions inherit the verdict, so build_complex only looks it up.
+    # The collapsed index is a partial order: normalized complexes.
+    cx_sub = build_complex(e.sub, n_max + 2, strict=True)
+    cx_mid = build_complex(e.mid, n_max + 1, strict=True)
+    cx_quot = build_complex(e.quot, n_max + 1, strict=True)
     groups = {}
     for n in range(n_max + 2):
         groups[("sub", n)] = cx_sub.cohomology(n)

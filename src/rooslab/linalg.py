@@ -51,20 +51,8 @@ class Ring:
             raise ValueError(f"modular ring needs m >= 2, got {m}")
         return cls(m)
 
-    @classmethod
-    def parse(cls, text: str) -> "Ring":
-        text = text.strip()
-        if text == "Z":
-            return cls.integers()
-        if text.startswith("Z/"):
-            try:
-                m = int(text[2:])
-            except ValueError:
-                raise ValueError(f"cannot parse ring {text!r}") from None
-            return cls.modular(m)
-        raise ValueError(f"cannot parse ring {text!r}; expected 'Z' or 'Z/m'")
-
     def render(self) -> str:
+        """The tag documents carry: "Z" or "Z/m" (``io.parse_ring`` reads it)."""
         return "Z" if self.modulus == 0 else f"Z/{self.modulus}"
 
     @property

@@ -109,11 +109,6 @@ class QuasiOrder:
                 out.append((a, self.elements[j]))
         return out
 
-    def upper_bounds(self, a, b):
-        ia, ib = self._pos[a], self._pos[b]
-        common = self._up[ia] & self._up[ib]
-        return [self.elements[k] for k in sorted(common)]
-
     def is_directed(self) -> bool:
         for i in range(len(self.elements)):
             for j in range(i + 1, len(self.elements)):
@@ -171,24 +166,6 @@ class QuasiOrder:
             seen.update(cls)
             out.append([self.elements[j] for j in cls])
         return out
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    directed: bool
-    has_max: bool
-    partial: bool
-    maximum: object = None
-
-
-def validate_order(q: QuasiOrder) -> OrderReport:
-    m = q.maximum()
-    return OrderReport(
-        directed=q.is_directed(),
-        has_max=m is not None,
-        partial=q.is_partial(),
-        maximum=m,
-    )
 
 
 def chains(q: QuasiOrder, n: int, strict: bool = False):

@@ -5,7 +5,8 @@ and one bonding matrix per related ordered pair (lam <= mu), the matrix
 mapping the module at mu to the module at lam. Bonds for pairs the caller did
 not declare are derived by composing declared bonds along a shortest path;
 functoriality of the result is something ``validate_system`` checks
-exhaustively rather than something construction assumes.
+exhaustively, once per system (later checks are lookups), rather than
+something construction assumes; ``require_functorial`` rejects what fails it.
 
 ``truncated_A`` builds the finite column-truncation of the direct-sum systems
 over families of grid height functions, ordered by everywhere domination,
@@ -18,7 +19,9 @@ that fact for reports.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .linalg import IntMatrix, Ring, cohomology_at
 from .orders import MonotoneMap, QuasiOrder
@@ -34,8 +37,20 @@ class BondError(ValueError):
     """A bond is missing, underivable, or has the wrong shape."""
 
 
+class InvalidSystemError(ValueError):
+    """The system failed functoriality validation; carries the violations."""
+
+    def __init__(self, violations):
+        self.violations = tuple(violations)
+        first = list(self.violations[:3])
+        super().__init__(f"bonds are not functorial; first bad triples: {first}")
+
+
 class InverseSystem:
-    __slots__ = ("index", "ring", "ranks", "_bonds")
+    """Free modules and bonds over a finite quasi-order. Immutable, which is what
+    lets ``validate_system`` store its verdict on it (``_report``, None before)."""
+
+    __slots__ = ("index", "ring", "ranks", "_bonds", "_report")
 
     def __init__(self, index: QuasiOrder, ring: Ring, ranks: dict, bonds: dict):
         for e in index.elements:
@@ -84,6 +99,7 @@ class InverseSystem:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ranks", dict(ranks))
         object.__setattr__(self, "_bonds", full)
+        object.__setattr__(self, "_report", None)
 
     @staticmethod
     def _bfs_path(src, dst, neighbors):
@@ -141,19 +157,25 @@ class InverseSystem:
             (a, b): self._bonds[(a, b)]
             for (a, b) in sub.related_pairs(include_diagonal=True)
         }
-        return InverseSystem(sub, self.ring, ranks, bonds)
+        out = InverseSystem(sub, self.ring, ranks, bonds)
+        if self._report is not None and self._report.ok:
+            # Every bond and triple of the restriction is one of this
+            # system's, so a functorial system restricts to a functorial one.
+            object.__setattr__(out, "_report", self._report)
+        return out
 
 
 @dataclass(frozen=True)
 class SystemReport:
     ok: bool
     violations: tuple
-    surjective: dict = field(compare=False)
-    all_surjective: bool = False
 
 
 def validate_system(s: InverseSystem) -> SystemReport:
-    """Exhaustive functoriality check plus a surjectivity flag per bond."""
+    """Exhaustive functoriality check: every composite of two bonds equals
+    the bond of its ends. Computed once per system and stored on it."""
+    if s._report is not None:
+        return s._report
     violations = []
     ring = s.ring
     elems = s.index.elements
@@ -167,20 +189,25 @@ def validate_system(s: InverseSystem) -> SystemReport:
                 left = s.bond(lam, mu) @ s.bond(mu, nu)
                 if not ring.matrices_equal(left, s.bond(lam, nu)):
                     violations.append((lam, mu, nu))
-    surjective = {}
-    for (lam, mu), m in s.bonds().items():
-        coker = cohomology_at(m, IntMatrix.zeros(0, m.nrows), ring)
-        surjective[(lam, mu)] = coker.is_trivial
-    return SystemReport(
-        ok=not violations,
-        violations=tuple(violations),
-        surjective=surjective,
-        all_surjective=all(surjective.values()),
-    )
+    report = SystemReport(ok=not violations, violations=tuple(violations))
+    object.__setattr__(s, "_report", report)
+    return report
 
 
-def restrict(s: InverseSystem, subset) -> InverseSystem:
-    return s.restrict(subset)
+def require_functorial(s: InverseSystem) -> None:
+    """Raise :class:`InvalidSystemError` unless ``validate_system`` passes."""
+    report = validate_system(s)
+    if not report.ok:
+        raise InvalidSystemError(report.violations)
+
+
+def surjective_bonds(s: InverseSystem) -> dict:
+    """Whether each bond (lam, mu), diagonal included, has trivial cokernel.
+    One SNF per bond, so only the reports that show it call this."""
+    return {
+        pair: cohomology_at(m, IntMatrix.zeros(0, m.nrows), s.ring).is_trivial
+        for pair, m in s.bonds().items()
+    }
 
 
 def collapse_equivalences(s: InverseSystem) -> InverseSystem:
@@ -279,29 +306,43 @@ def truncated_A(spec: TruncationSpec) -> InverseSystem:
 
 
 @dataclass(frozen=True)
-class SystemSES:
-    """Levelwise short exact sequence of systems over one index and ring.
-
-    ``inject`` maps the sub system into the middle (one matrix per index,
-    rank_mid x rank_sub); ``project`` maps the middle onto the quotient.
-    """
-
-    sub: InverseSystem
-    mid: InverseSystem
-    quot: InverseSystem
-    inject: dict = field(compare=False)
-    project: dict = field(compare=False)
-
-
-@dataclass(frozen=True)
 class SesReport:
     ok: bool
     violations: tuple
 
 
+@dataclass(frozen=True)
+class SystemSES:
+    """Levelwise short exact sequence of systems over one index and ring.
+
+    ``inject`` maps the sub system into the middle (one matrix per index,
+    rank_mid x rank_sub); ``project`` maps the middle onto the quotient.
+    Both are read-only copies. Immutable, which is what lets ``validate_ses``
+    store its verdict on the sequence (``_report``).
+    """
+
+    sub: InverseSystem
+    mid: InverseSystem
+    quot: InverseSystem
+    inject: Mapping = field(compare=False)
+    project: Mapping = field(compare=False)
+    _report: SesReport | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "inject", MappingProxyType(dict(self.inject)))
+        object.__setattr__(self, "project", MappingProxyType(dict(self.project)))
+
+
 def validate_ses(e: SystemSES) -> SesReport:
     """Exact levelwise verification: shapes, injectivity, surjectivity,
-    ker = im, and commutation of both maps with every bond."""
+    ker = im, and commutation of both maps with every bond. Computed once
+    per sequence and stored on it."""
+    if e._report is None:
+        object.__setattr__(e, "_report", _check_ses(e))
+    return e._report
+
+
+def _check_ses(e: SystemSES) -> SesReport:
     violations = []
     ring = e.mid.ring
     if e.sub.ring != ring or e.quot.ring != ring:

@@ -333,6 +333,44 @@ def test_missing_file_is_an_error(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+def _one_error_line(err: str, path: str) -> bool:
+    return err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_unreadable_paths_exit_two_with_one_line(tmp_path, capsys):
+    assert main(["limit", "--system", str(tmp_path), "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err, str(tmp_path))
+
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"ring": "\xe9"}')
+    assert main(["limit", "--system", str(path), "--degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err, str(path)) and "UTF-8" in captured.err
+
+
+def test_unwritable_out_path_exits_two_with_one_line(tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    assert main(["make-a", "--functions", "1,1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err, out) and "cannot write" in err
+
+
+def test_verify_reports_bond_surjectivity(tmp_path, capsys):
+    path = str(tmp_path / "cospan.json")
+    write_system(_cospan_system(), path)
+    assert main(["verify", "--system", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["all bonds surjective"] is False
+
+    path = str(tmp_path / "a.json")
+    assert main(["make-a", "--functions", "2,1;1,2;2,2", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--system", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["all bonds surjective"] is True
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["limit", "--degree", "0"])

@@ -25,7 +25,7 @@ from rooslab.gen import (
 )
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
 from rooslab.orders import QuasiOrder
-from rooslab.systems import InverseSystem, collapse_equivalences, restrict, validate_system
+from rooslab.systems import InverseSystem, collapse_equivalences, validate_system
 
 
 def _one_point(ring=Ring.integers()):
@@ -90,6 +90,47 @@ def test_invalid_system_propagates():
         build_complex(s, 1)
 
 
+def test_stored_failing_verdict_still_rejects():
+    q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    s = InverseSystem(
+        q,
+        Ring.integers(),
+        {"a": 1, "b": 1, "c": 1},
+        {
+            ("a", "b"): IntMatrix([[2]]),
+            ("b", "c"): IntMatrix([[3]]),
+            ("a", "c"): IntMatrix([[5]]),
+        },
+    )
+    first = validate_system(s)
+    assert not first.ok
+    assert validate_system(s) is first
+    for call in (
+        lambda: derived_limit(s, 0),
+        lambda: derived_limit(s, 1, degenerate=True),
+        lambda: build_complex(s, 1),
+        lambda: build_complex(s, 1, strict=True),
+    ):
+        with pytest.raises(InvalidSystemError) as err:
+            call()
+        assert err.value.violations == first.violations
+        assert str(err.value) == (
+            "bonds are not functorial; first bad triples: [('a', 'b', 'c')]"
+        )
+    # A restriction of a failing system gets its own check: the pair a <= b
+    # alone is functorial.
+    assert validate_system(s.restrict(["a", "b"])).ok
+    assert derived_limit(s.restrict(["a", "b"]), 0) == GroupInvariants.free(1)
+
+
+def test_restriction_inherits_a_passing_verdict():
+    s = _cospan_times_two()
+    assert validate_system(s).ok
+    assert validate_system(s.restrict(["x", "y"])) is validate_system(s)
+    fresh = _cospan_times_two().restrict(["x", "y"])
+    assert validate_system(fresh) == validate_system(s)
+
+
 def test_cospan_derived_limits_with_cokernel_oracle():
     s = _cospan_times_two()
     assert derived_limit(s, 0) == GroupInvariants.free(1)
@@ -137,7 +178,7 @@ def test_cofinal_restriction_preserves_derived_limits():
         s = random_system(rng, ensure_max=True)
         c = random_cofinal_subset(rng, s.index)
         assert s.index.is_cofinal(c)
-        sc = restrict(s, c)
+        sc = s.restrict(c)
         for n in range(3):
             assert derived_limit(s, n) == derived_limit(sc, n)
 

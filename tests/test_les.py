@@ -9,7 +9,7 @@ from rooslab.gen import random_ses
 from rooslab.les import Field, les_of_ses
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring
 from rooslab.orders import QuasiOrder
-from rooslab.systems import InverseSystem, SystemSES
+from rooslab.systems import InverseSystem, SystemSES, validate_ses
 
 
 def _constant(q, ring, rank):
@@ -182,3 +182,24 @@ def test_rejects_invalid_ses():
         les_of_ses(broken, 1)
     with pytest.raises(ValueError, match="n_max"):
         les_of_ses(e, -1)
+
+
+def test_stored_failing_ses_verdict_still_rejects():
+    e = _split_constant_ses()
+    broken = SystemSES(
+        sub=e.sub,
+        mid=e.mid,
+        quot=e.quot,
+        inject=e.inject,
+        project={k: IntMatrix.zeros(1, 2) for k in e.project},
+    )
+    first = validate_ses(broken)
+    assert not first.ok
+    assert validate_ses(broken) is first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="short exact"):
+            les_of_ses(broken, 1)
+    # The maps are read-only copies, so the stored verdict cannot go stale.
+    with pytest.raises(TypeError):
+        broken.project["a"] = IntMatrix([[0, 1]])
+    assert les_of_ses(e, 1).ok

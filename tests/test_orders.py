@@ -16,7 +16,6 @@ from rooslab.orders import (
     build_filtration,
     chains,
     face,
-    validate_order,
 )
 
 
@@ -126,12 +125,13 @@ def test_face_identities():
 
 
 def test_validate_order_frozen_cases():
-    r = validate_order(QuasiOrder(["p"]))
-    assert r.directed and r.has_max and r.partial and r.maximum == "p"
-    r = validate_order(QuasiOrder(["a", "b"]))
-    assert not r.directed and not r.has_max
-    r = validate_order(_cospan())
-    assert not r.directed and not r.has_max and r.partial
+    r = QuasiOrder(["p"])
+    assert r.is_directed() and r.maximum() is not None and r.is_partial()
+    assert r.maximum() == "p"
+    r = QuasiOrder(["a", "b"])
+    assert not r.is_directed() and r.maximum() is None
+    r = _cospan()
+    assert not r.is_directed() and r.maximum() is None and r.is_partial()
 
 
 def test_is_cofinal():
@@ -156,7 +156,7 @@ def test_down_closure_and_restrict():
     r = q.restrict(["a", "c"])
     assert r.elements == ("a", "c")
     assert r.leq("a", "c")
-    assert validate_order(r).partial
+    assert r.is_partial()
 
 
 def test_monotone_map():
