@@ -165,8 +165,13 @@ def test_nerve_matches_system_complex_on_thin_categories():
         fun = functor_from_system(s, c)
         ncx = nerve_complex(c, fun, 3)
         cx = build_complex(s, 3)
+        # A chain of thin morphisms is the tuple of its first source
+        # followed by each morphism's target; an object is a 1-tuple.
+        label = lambda t, k: (t,) if k == 0 else (c.src(t[0]),) + tuple(c.tgt(m) for m in t)
         for k in range(4):
             assert ncx.dimension(k) == cx.dimension(k)
+            assert ncx.diffs[k] == cx.diffs[k]
+            assert [label(t, k) for t in ncx.blocks[k]] == list(cx.blocks[k])
         for n in range(3):
             assert ncx.cohomology(n) == cx.cohomology(n)
 
