@@ -9,12 +9,14 @@ sizes handled here.
 ``FreeFunctor`` assigns a free module to each object and a matrix to each
 morphism, acting contravariantly: a morphism from i to j acts by a matrix
 from the module at j into the module at i, exactly the way bonds of an
-inverse system point. ``nerve_complex`` then assembles the cochain complex
+inverse system point. ``nerve_complex`` then builds the cochain complex
 whose degree-k piece is the product, over composable k-chains of morphisms,
 of the module at the chain's source; its cohomology computes the derived
-limits of the functor. On the thin category of a quasi-order this recovers
-``build_complex`` block for block, which the tests use as a cross-check
-rather than an assumption.
+limits of the functor. It enumerates the chains and names their faces; the
+differentials come from the same assembler as ``build_complex``
+(``RoosComplex``). On the thin category of a quasi-order it recovers
+``build_complex`` block for block and matrix for matrix, which the tests
+use as a cross-check rather than an assumption.
 
 ``corepresented_system`` builds, for a base object i and a multiplicity a,
 the functor sending j to one rank-a block per morphism from i to j, with
@@ -236,8 +238,8 @@ def nerve_complex(cat: FiniteCategory, fun: FreeFunctor, k_max: int):
     The differential into degree k evaluates, at a chain (a_1, ..., a_k):
     the action of a_1 on the value at the chain with a_1 dropped, plus the
     alternating sum over inner faces (composing consecutive morphisms) and
-    the last face (dropping a_k). Block coincidences accumulate, mirroring
-    the degenerate-tuple convention of ``build_complex``.
+    the last face (dropping a_k). It shares ``RoosComplex``'s assembler with
+    ``build_complex``, so block coincidences accumulate the same way.
     """
     from .complexes import RoosComplex
 
@@ -250,44 +252,17 @@ def nerve_complex(cat: FiniteCategory, fun: FreeFunctor, k_max: int):
     block_ranks = [
         [fun.rank(source(t, k)) for t in blocks[k]] for k in range(k_max + 1)
     ]
-    offsets = []
-    totals = []
-    for k in range(k_max + 1):
-        offs = {}
-        acc = 0
-        for t, r in zip(blocks[k], block_ranks[k]):
-            offs[t] = acc
-            acc += r
-        offsets.append(offs)
-        totals.append(acc)
-    diffs = [IntMatrix.zeros(totals[0], 0)]
-    for k in range(1, k_max + 1):
-        rows = [[0] * totals[k - 1] for _ in range(totals[k])]
-        for t in blocks[k]:
-            row_off = offsets[k][t]
-            r0 = fun.rank(cat.src(t[0]))
-            if r0 == 0:
-                continue
-            f0 = cat.tgt(t[0]) if k == 1 else t[1:]
-            col_off = offsets[k - 1][f0]
-            m = fun.action(t[0])
-            for i in range(r0):
-                target = rows[row_off + i]
-                for j, x in enumerate(m.rows[i]):
-                    if x:
-                        target[col_off + j] += x
-            sign = 1
-            for j in range(1, k + 1):
-                sign = -sign
-                if j < k:
-                    fj = t[: j - 1] + (cat.compose(t[j], t[j - 1]),) + t[j + 1 :]
-                else:
-                    fj = cat.src(t[0]) if k == 1 else t[:-1]
-                col_off = offsets[k - 1][fj]
-                for i in range(r0):
-                    rows[row_off + i][col_off + i] += sign
-        diffs.append(IntMatrix(rows, totals[k - 1]))
-    return RoosComplex(fun.ring, blocks, block_ranks, diffs)
+
+    def faces(t):
+        # A 1-chain's faces are objects: its target, then its source.
+        if len(t) == 1:
+            return fun.action(t[0]), (cat.tgt(t[0]), cat.src(t[0]))
+        inner = [
+            t[: j - 1] + (cat.compose(t[j], t[j - 1]),) + t[j + 1 :] for j in range(1, len(t))
+        ]
+        return fun.action(t[0]), (t[1:], *inner, t[:-1])
+
+    return RoosComplex(fun.ring, blocks, block_ranks, faces)
 
 
 def corepresented_system(cat: FiniteCategory, base, copies: int = 1) -> FreeFunctor:

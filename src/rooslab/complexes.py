@@ -7,7 +7,10 @@ a degree-(n-1) cochain x to the degree-n cochain whose entry at t is
     bond(t0, t1) applied to x at the 0th face of t,
     plus sum over i = 1..n of (-1)^i times x at the i-th face of t,
 
-where the i-th face deletes entry i.
+where the i-th face deletes entry i. ``RoosComplex`` assembles every
+differential of this shape from its blocks and a ``faces`` callable (the
+leading action and the face labels of one block); ``build_complex`` and
+``category.nerve_complex`` only enumerate blocks and name their faces.
 
 ``limit_complex`` is the route every derived-limit computation takes. It
 validates the system it is given, collapses each equivalence class of the
@@ -42,7 +45,12 @@ class RoosComplex:
     """A bounded cochain complex with labeled block structure.
 
     ``blocks[n]`` lists the basis blocks of degree n (index tuples for system
-    complexes, morphism chains for nerve complexes); ``diffs[n]`` is the
+    complexes, morphism chains for nerve complexes), of ranks
+    ``block_ranks[n]``. The differentials are assembled at construction: for
+    a block t of degree n >= 1, ``faces(t)`` returns the matrix acting from
+    face 0 and the labels of faces 0..n; the rows of t get that matrix at
+    face 0 and identity blocks of alternating sign, starting with -1, at
+    faces 1..n, accumulating where faces coincide. ``diffs[n]`` is the
     matrix of the differential from degree n-1 into degree n, with
     ``diffs[0]`` a zero-column matrix. The complex identity (consecutive
     differentials compose to zero over the ring) is verified at construction.
@@ -53,7 +61,7 @@ class RoosComplex:
         "strict", "system", "_positions",
     )
 
-    def __init__(self, ring: Ring, blocks, block_ranks, diffs, strict: bool = False, system=None):
+    def __init__(self, ring: Ring, blocks, block_ranks, faces, strict: bool = False, system=None):
         n_max = len(blocks) - 1
         offsets = []
         totals = []
@@ -69,12 +77,29 @@ class RoosComplex:
             offsets.append(tuple(offs))
             totals.append(acc)
             positions.append(where)
-        for n in range(n_max + 1):
-            expected = (totals[n], totals[n - 1] if n else 0)
-            if diffs[n].shape != expected:
-                raise ValueError(
-                    f"differential {n} has shape {diffs[n].shape}, expected {expected}"
-                )
+        diffs = [IntMatrix.zeros(totals[0], 0)]
+        for n in range(1, n_max + 1):
+            below = positions[n - 1]
+            rows = [[0] * totals[n - 1] for _ in range(totals[n])]
+            for t, row_off, r0 in zip(blocks[n], offsets[n], block_ranks[n]):
+                if r0 == 0:
+                    continue
+                lead, labels = faces(t)
+                # Face 0 carries the leading action.
+                col_off = below[labels[0]][0]
+                for i in range(r0):
+                    target = rows[row_off + i]
+                    for j, x in enumerate(lead.rows[i]):
+                        if x:
+                            target[col_off + j] += x
+                # Faces 1..n keep the leading source; alternating identity blocks.
+                sign = 1
+                for label in labels[1:]:
+                    sign = -sign
+                    col_off = below[label][0]
+                    for i in range(r0):
+                        rows[row_off + i][col_off + i] += sign
+            diffs.append(IntMatrix(rows, totals[n - 1]))
         for n in range(1, n_max):
             if not ring.is_zero_matrix(diffs[n + 1] @ diffs[n]):
                 raise ValueError(f"complex identity fails between degrees {n - 1}..{n + 1}")
@@ -115,7 +140,8 @@ class RoosComplex:
 
 
 def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosComplex:
-    """Assemble differentials block-by-block over the tuple enumeration.
+    """The complex of s over its weakly (or, with ``strict``, strictly)
+    increasing tuples: face 0 of t carries bond(t0, t1), face i deletes entry i.
 
     Raises :class:`InvalidSystemError` on a non-functorial system; for one
     checked already, or restricted from one that passed, that is a lookup.
@@ -123,46 +149,10 @@ def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosCom
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     require_functorial(s)
-    q = s.index
-    blocks = [chains(q, n, strict=strict) for n in range(n_max + 1)]
+    blocks = [chains(s.index, n, strict=strict) for n in range(n_max + 1)]
     block_ranks = [[s.rank(t[0]) for t in blocks[n]] for n in range(n_max + 1)]
-    offsets = []
-    totals = []
-    for n in range(n_max + 1):
-        offs = {}
-        acc = 0
-        for t, r in zip(blocks[n], block_ranks[n]):
-            offs[t] = acc
-            acc += r
-        offsets.append(offs)
-        totals.append(acc)
-    diffs = [IntMatrix.zeros(totals[0], 0)]
-    for n in range(1, n_max + 1):
-        rows = [[0] * totals[n - 1] for _ in range(totals[n])]
-        for t, r0 in zip(blocks[n], block_ranks[n]):
-            row_off = offsets[n][t]
-            if r0 == 0:
-                continue
-            # Face 0 applies the bond from t1 down to t0.
-            f0 = face(t, 0)
-            col_off = offsets[n - 1][f0]
-            b = s.bond(t[0], t[1])
-            for i in range(r0):
-                target = rows[row_off + i]
-                brow = b.rows[i]
-                for j, x in enumerate(brow):
-                    if x:
-                        target[col_off + j] += x
-            # Faces 1..n keep the leading entry; alternating identity blocks.
-            sign = 1
-            for k in range(1, n + 1):
-                sign = -sign
-                fk = face(t, k)
-                col_off = offsets[n - 1][fk]
-                for i in range(r0):
-                    rows[row_off + i][col_off + i] += sign
-        diffs.append(IntMatrix(rows, totals[n - 1]))
-    return RoosComplex(s.ring, blocks, block_ranks, diffs, strict=strict, system=s)
+    faces = lambda t: (s.bond(t[0], t[1]), [face(t, k) for k in range(len(t))])
+    return RoosComplex(s.ring, blocks, block_ranks, faces, strict=strict, system=s)
 
 
 def limit_complex(s: InverseSystem, n_max: int, degenerate: bool = False) -> RoosComplex:
