@@ -11,6 +11,7 @@ spot-checks so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -380,7 +381,9 @@ def _cmd_make_a(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on first use, reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="rooslab",
         description="Exact derived limits of finite inverse systems, and the "

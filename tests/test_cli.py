@@ -264,14 +264,31 @@ def test_deep_trivialize_exits_two_without_traceback(tmp_path, capsys):
     [(MemoryError(), "out of memory"), (KeyError("x"), "missing key 'x'")],
 )
 def test_resource_errors_exit_two_with_one_line(tmp_path, capsys, monkeypatch, exc, says):
-    def boom(args):
+    def boom(path):
         raise exc
 
-    monkeypatch.setattr("rooslab.cli._cmd_limit", boom)
+    monkeypatch.setattr("rooslab.cli.parse_system", boom)
     assert main(["limit", "--system", str(tmp_path / "s.json"), "--degree", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert says in err
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    write_system(_cospan_system(), path)
+    argv = ["limit", "--system", path, "--degree", "1", "--json"]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["limit", "--system", path])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    first["stats"].pop("seconds")
+    second["stats"].pop("seconds")
+    assert first == second
 
 
 def test_tree_commands(tmp_path, capsys):
