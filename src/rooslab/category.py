@@ -27,6 +27,8 @@ above — the finite stand-in for cofreeness.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .linalg import IntMatrix, Ring
 from .orders import QuasiOrder
 from .systems import InverseSystem
@@ -195,7 +197,7 @@ class FreeFunctor:
                     )
         object.__setattr__(self, "category", category)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ranks", dict(ranks))
+        object.__setattr__(self, "ranks", MappingProxyType(dict(ranks)))
         object.__setattr__(self, "_action", full)
 
     def __setattr__(self, *_):

@@ -47,8 +47,9 @@ class InvalidSystemError(ValueError):
 
 
 class InverseSystem:
-    """Free modules and bonds over a finite quasi-order. Immutable, which is what
-    lets ``validate_system`` store its verdict on it (``_report``, None before)."""
+    """Free modules and bonds over a finite quasi-order. Immutable (``ranks`` is a
+    read-only mapping), which is what lets ``validate_system`` store its verdict
+    on it (``_report``, None before)."""
 
     __slots__ = ("index", "ring", "ranks", "_bonds", "_report")
 
@@ -97,7 +98,7 @@ class InverseSystem:
             full[(lam, mu)] = m
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ranks", dict(ranks))
+        object.__setattr__(self, "ranks", MappingProxyType(dict(ranks)))
         object.__setattr__(self, "_bonds", full)
         object.__setattr__(self, "_report", None)
 
@@ -134,7 +135,7 @@ class InverseSystem:
     def __repr__(self) -> str:
         return (
             f"InverseSystem(|index|={len(self.index)}, ring={self.ring.render()}, "
-            f"ranks={self.ranks!r})"
+            f"ranks={dict(self.ranks)!r})"
         )
 
     def rank(self, e) -> int:

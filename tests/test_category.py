@@ -156,6 +156,22 @@ def test_functor_validation_errors():
     _ = FreeFunctor(c, Ring.modular(2), ranks, mod2)
 
 
+def test_functor_ranks_are_read_only():
+    c = _walking_arrow()
+    ranks = {"a": 1, "b": 2}
+    fun = FreeFunctor(c, Ring.integers(), ranks, {"f": IntMatrix([[1, 0]])})
+    with pytest.raises(TypeError):
+        fun.ranks["a"] = 3
+    ranks["a"] = 3
+    assert fun.rank("a") == 1
+    assert fun.ranks == {"a": 1, "b": 2}
+    s = InverseSystem(
+        QuasiOrder(["a", "b"], [("a", "b")]), Ring.integers(), {"a": 1, "b": 2},
+        {("a", "b"): IntMatrix([[1, 0]])},
+    )
+    assert functor_from_system(s).ranks == s.ranks
+
+
 def test_nerve_matches_system_complex_on_thin_categories():
     rng = random.Random(424242)
     for _ in range(15):

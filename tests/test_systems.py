@@ -47,6 +47,15 @@ def test_cospan_valid_not_surjective():
     assert surjective[("x", "x")] is True
 
 
+def test_ranks_are_read_only():
+    s = _cospan_times_two()
+    with pytest.raises(TypeError):
+        s.ranks["x"] = 3
+    assert s.rank("x") == 1
+    assert s == _cospan_times_two()
+    assert repr(s) == "InverseSystem(|index|=3, ring=Z, ranks={'x': 1, 'y': 1, 'z': 1})"
+
+
 def test_composition_mismatch_reported():
     q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
     s = InverseSystem(
