@@ -1,4 +1,4 @@
-"""Finite quasi-orders: tuple enumeration, cofinality, closures, filtrations.
+"""Finite quasi-orders: tuple enumeration, cofinality, restriction.
 
 A ``QuasiOrder`` stores the reflexive-transitive closure of user-supplied
 pairs; antisymmetry is never required, so distinct equivalent elements
@@ -11,16 +11,6 @@ the row/column layout of every differential matrix downstream.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-class JoinNotUpperBoundError(ValueError):
-    """join(x, y) failed to dominate one of its arguments."""
-
-
-class JoinNotMonotoneError(ValueError):
-    """join is not monotone in one of its arguments."""
 
 
 class NotMonotoneError(ValueError):
@@ -136,15 +126,6 @@ class QuasiOrder:
         idx = [self._pos[c] for c in subset]
         return all(any(j in self._up[i] for j in idx) for i in range(len(self.elements)))
 
-    def down_closure(self, subset):
-        """Elements below some member of subset, in user order."""
-        idx = set(self._pos[c] for c in subset)
-        return [
-            e
-            for i, e in enumerate(self.elements)
-            if self._up[i] & idx or i in idx
-        ]
-
     def restrict(self, subset) -> "QuasiOrder":
         keep = [e for e in self.elements if e in set(subset)]
         pairs = [(a, b) for a in keep for b in keep if self.leq(a, b)]
@@ -240,78 +221,3 @@ class MonotoneMap:
     def inclusion(cls, q: QuasiOrder, subset) -> "MonotoneMap":
         return cls(q.restrict(subset), q, {e: e for e in subset})
 
-
-@dataclass(frozen=True)
-class Filtration:
-    order: QuasiOrder
-    stages: tuple  # tuple of frozensets, increasing
-
-    def validate(self, join) -> None:
-        previous = frozenset()
-        for stage in self.stages:
-            if not previous <= stage:
-                raise ValueError("filtration stages are not nested")
-            if frozenset(self.order.down_closure(stage)) != stage:
-                raise ValueError("stage not downward closed")
-            for x in stage:
-                for y in stage:
-                    if join(x, y) not in stage:
-                        raise ValueError("stage not join-closed")
-            previous = stage
-        if self.stages and self.stages[-1] != frozenset(self.order.elements):
-            raise ValueError("final stage does not exhaust the order")
-
-
-def build_filtration(q: QuasiOrder, join, enum=None) -> Filtration:
-    """Increasing stages: close the first alpha enumerated elements under
-    join, then downward.
-
-    The join must be an upper bound of its arguments and monotone in both;
-    both conditions are checked exhaustively up front. The enumeration must
-    generate the whole order (its closure exhausts all elements).
-    """
-    elems = q.elements
-    for x in elems:
-        for y in elems:
-            j = join(x, y)
-            if j not in q:
-                raise JoinNotUpperBoundError(f"join({x!r}, {y!r}) = {j!r} not in order")
-            if not (q.leq(x, j) and q.leq(y, j)):
-                raise JoinNotUpperBoundError(
-                    f"join({x!r}, {y!r}) = {j!r} is not an upper bound"
-                )
-    for x in elems:
-        for y in elems:
-            for x2 in elems:
-                if not q.leq(x2, x):
-                    continue
-                for y2 in elems:
-                    if q.leq(y2, y) and not q.leq(join(x2, y2), join(x, y)):
-                        raise JoinNotMonotoneError(
-                            f"join({x2!r}, {y2!r}) exceeds join({x!r}, {y!r})"
-                        )
-    if enum is None:
-        enum = elems
-    enum = tuple(enum)
-    for e in enum:
-        if e not in q:
-            raise ValueError(f"enumeration mentions unknown element {e!r}")
-    stages = []
-    for alpha in range(1, len(enum) + 1):
-        closed = set(enum[:alpha])
-        while True:
-            new = set()
-            for x in closed:
-                for y in closed:
-                    j = join(x, y)
-                    if j not in closed:
-                        new.add(j)
-            if not new:
-                break
-            closed |= new
-        stages.append(frozenset(q.down_closure(closed)))
-    if stages and stages[-1] != frozenset(elems):
-        raise ValueError("enumeration does not generate the whole order")
-    filtration = Filtration(q, tuple(stages))
-    filtration.validate(join)
-    return filtration

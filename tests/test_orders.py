@@ -1,4 +1,4 @@
-"""Quasi-orders, tuple enumeration, cofinality, and filtrations."""
+"""Quasi-orders, tuple enumeration, and cofinality."""
 
 import math
 import random
@@ -7,13 +7,9 @@ from itertools import product
 import pytest
 
 from rooslab.orders import (
-    Filtration,
-    JoinNotMonotoneError,
-    JoinNotUpperBoundError,
     MonotoneMap,
     NotMonotoneError,
     QuasiOrder,
-    build_filtration,
     chains,
     face,
 )
@@ -152,7 +148,6 @@ def test_is_cofinal():
 
 def test_down_closure_and_restrict():
     q = _chain(["a", "b", "c"])
-    assert q.down_closure(["b"]) == ["a", "b"]
     r = q.restrict(["a", "c"])
     assert r.elements == ("a", "c")
     assert r.leq("a", "c")
@@ -171,60 +166,3 @@ def test_monotone_map():
         MonotoneMap(src, tgt, {"1": "c", "2": "a"})
     inc = MonotoneMap.inclusion(tgt, ["a", "c"])
     assert inc("c") == "c" and inc.is_cofinal()
-
-
-def test_build_filtration_one_point_and_chain():
-    p = QuasiOrder(["p"])
-    f = build_filtration(p, lambda x, y: "p")
-    assert f.stages == (frozenset({"p"}),)
-
-    q = _chain(["a", "b", "c"])
-    mx = lambda x, y: x if q.leq(y, x) else y
-    f = build_filtration(q, mx, enum=["c"])
-    assert f.stages == (frozenset({"a", "b", "c"}),)
-
-
-def test_build_filtration_grid_example():
-    pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    q = QuasiOrder(
-        pts,
-        [(a, b) for a in pts for b in pts if a[0] <= b[0] and a[1] <= b[1]],
-    )
-    join = lambda x, y: (max(x[0], y[0]), max(x[1], y[1]))
-    f = build_filtration(q, join, enum=[(1, 0), (0, 1)])
-    assert f.stages[0] == frozenset({(0, 0), (1, 0)})
-    assert f.stages[1] == frozenset(pts)
-    f.validate(join)
-
-
-def test_build_filtration_join_errors():
-    q = _chain(["a", "b", "c"])
-    mn = lambda x, y: x if q.leq(x, y) else y
-    with pytest.raises(JoinNotUpperBoundError):
-        build_filtration(q, mn)
-    # Upper bound but not monotone: join(a,a) jumps to the top.
-    def weird(x, y):
-        if x == y == "a":
-            return "c"
-        return x if q.leq(y, x) else y
-
-    with pytest.raises(JoinNotMonotoneError):
-        build_filtration(q, weird)
-    with pytest.raises(ValueError):
-        mx = lambda x, y: x if q.leq(y, x) else y
-        build_filtration(q, mx, enum=["a"])  # down-closure of {a} misses b, c
-
-
-def test_filtration_stages_nested_random():
-    rng = random.Random(2024)
-    for _ in range(15):
-        m = rng.randint(1, 5)
-        q = _chain([f"t{i}" for i in range(m)])
-        mx = lambda x, y: x if q.leq(y, x) else y
-        enum = list(q.elements)
-        rng.shuffle(enum)
-        f = build_filtration(q, mx, enum=enum)
-        f.validate(mx)
-        for a, b in zip(f.stages, f.stages[1:]):
-            assert a <= b
-        assert f.stages[-1] == frozenset(q.elements)
