@@ -85,14 +85,12 @@ class RoosComplex:
                 if r0 == 0:
                     continue
                 lead, labels = faces(t)
-                # Face 0 carries the leading action.
                 col_off = below[labels[0]][0]
                 for i in range(r0):
                     target = rows[row_off + i]
                     for j, x in enumerate(lead.rows[i]):
                         if x:
                             target[col_off + j] += x
-                # Faces 1..n keep the leading source; alternating identity blocks.
                 sign = 1
                 for label in labels[1:]:
                     sign = -sign
