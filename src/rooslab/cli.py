@@ -247,6 +247,17 @@ def _budget(text: str):
     return value
 
 
+def _degree(text: str) -> int:
+    """A nonnegative degree, so a negative one is a usage error naming its flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"degree is a natural number, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be at least 0, got {value}")
+    return value
+
+
 def _cmd_cohere_check(args) -> int:
     family = parse_family(args.family)
     crep = coherence_check(family, args.budget)
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", parents=[common], help="derived limit of a system")
     p.add_argument("--system", required=True, help="system document path")
-    p.add_argument("--degree", type=int, required=True, help="derived-limit degree")
+    p.add_argument("--degree", type=_degree, required=True, help="derived-limit degree")
     p.add_argument(
         "--degenerate",
         action="store_true",
@@ -407,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="verification suite on a system")
     p.add_argument("--system", required=True)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_degree, default=3)
     p.add_argument("--spot-checks", type=int, default=3)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("les", parents=[common], help="long exact sequence of a levelwise SES")
     p.add_argument("--ses", required=True, help="short-exact-sequence document path")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_degree, required=True)
     p.add_argument("--fields", default=None, help="comma-separated characteristics, 0 = rationals")
     p.set_defaults(run=_cmd_les)
 
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", required=True, help="category document path")
     p.add_argument("--object", required=True, help="base object")
     p.add_argument("--rank", type=int, default=1, help="copies of the base block")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_degree, default=3)
     p.set_defaults(run=_cmd_nerve)
 
     p = sub.add_parser("cohere", parents=[], help="grid-family coherence lab")

@@ -97,7 +97,7 @@ class RoosComplex:
                     col_off = below[label][0]
                     for i in range(r0):
                         rows[row_off + i][col_off + i] += sign
-            diffs.append(IntMatrix(rows, totals[n - 1]))
+            diffs.append(IntMatrix._trusted(rows, totals[n - 1]))
         for n in range(1, n_max):
             if not ring.is_zero_matrix(diffs[n + 1] @ diffs[n]):
                 raise ValueError(f"complex identity fails between degrees {n - 1}..{n + 1}")

@@ -1,25 +1,32 @@
 """Exact integer linear algebra over Z and Z/m.
 
 Everything downstream (cochain complexes, derived limits, long exact
-sequences) reduces to three primitives implemented here:
+sequences) reduces to the routines implemented here:
 
 * ``smith_normal_form`` computes ``d = u * m * v`` with unimodular ``u``, ``v``
-  and the full divisor chain on the diagonal, tracking all four transforms.
-  The pivot rule is deterministic: smallest nonzero absolute value, ties
-  broken by lowest row index, then lowest column index. This makes every
-  decomposition reproducible across platforms.
+  and the full divisor chain on the diagonal, tracking the transforms the
+  caller asks for. The pivot rule is deterministic: smallest nonzero absolute
+  value, ties broken by lowest row index, then lowest column index. This
+  makes every decomposition reproducible across platforms.
+* ``invariant_factors`` computes the Smith diagonal alone, with no
+  transforms: sparse elimination of unit pivots, then a diagonal-only
+  ``smith_normal_form`` of the small residual block (Dumas, Saunders and
+  Villard, J. Symbolic Comput. 32, 2001).
 * ``cohomology_at`` presents the subquotient ker(d_out)/im(d_in) of a free
-  module as canonical invariants (free rank plus a divisor chain). The Z/m
-  case is handled by lifting to Z and adjoining ``m * identity`` relations.
+  module as canonical invariants (free rank plus a divisor chain), read off
+  the rank of d_out and the invariant factors of d_in. The Z/m case is
+  handled by lifting to Z and adjoining ``m * identity`` relations.
 * ``solve`` finds the canonical solution of ``m x = b`` (free coordinates set
   to zero after SNF back-substitution), or reports that none exists.
 
-Matrices are dense, immutable, and carry plain Python integers; at desk scale
-exactness matters and machine precision does not.
+``IntMatrix`` is dense, immutable, and carries plain Python integers;
+``invariant_factors`` works on a sparse copy. At desk scale exactness matters
+and machine precision does not.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -100,16 +107,30 @@ class IntMatrix:
         object.__setattr__(self, "nrows", len(frozen))
         object.__setattr__(self, "ncols", width)
 
+    @classmethod
+    def _trusted(cls, rows, ncols: int) -> "IntMatrix":
+        """A matrix from rows that are already sequences of ``int``, each
+        ``ncols`` long: the results linalg and the complex assembler build
+        themselves. Nothing is coerced or checked; every other caller goes
+        through ``__init__``.
+        """
+        self = object.__new__(cls)
+        frozen = tuple(map(tuple, rows))
+        object.__setattr__(self, "rows", frozen)
+        object.__setattr__(self, "nrows", len(frozen))
+        object.__setattr__(self, "ncols", ncols)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
+        return cls._trusted([(0,) * ncols] * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def column(cls, entries) -> "IntMatrix":
@@ -144,7 +165,7 @@ class IntMatrix:
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add {self.shape} vs {other.shape}")
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
@@ -152,16 +173,16 @@ class IntMatrix:
     def sub(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ShapeMismatchError(f"sub {self.shape} vs {other.shape}")
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.rows], self.ncols)
+        return IntMatrix._trusted([[-x for x in row] for row in self.rows], self.ncols)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self.rows], self.ncols)
+        return IntMatrix._trusted([[c * x for x in row] for row in self.rows], self.ncols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Matrix product, with both factors' zeros skipped.
@@ -188,7 +209,7 @@ class IntMatrix:
                     else:
                         for j, b in sparse[k]:
                             target[j] += a * b
-        return IntMatrix(out, ocols)
+        return IntMatrix._trusted(out, ocols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -207,36 +228,35 @@ class IntMatrix:
         return out
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
         )
 
     def rows_at(self, idx) -> "IntMatrix":
-        return IntMatrix([self.rows[i] for i in idx], self.ncols)
+        return IntMatrix._trusted([self.rows[i] for i in idx], self.ncols)
 
     def cols_at(self, idx) -> "IntMatrix":
         idx = list(idx)
-        return IntMatrix([[row[j] for j in idx] for row in self.rows], len(idx))
+        return IntMatrix._trusted([[row[j] for j in idx] for row in self.rows], len(idx))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ShapeMismatchError(f"hstack {self.shape} with {other.shape}")
-        return IntMatrix(
-            [list(ra) + list(rb) for ra, rb in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
+        return IntMatrix._trusted(
+            [ra + rb for ra, rb in zip(self.rows, other.rows)], self.ncols + other.ncols
         )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.ncols:
             raise ShapeMismatchError(f"vstack {self.shape} with {other.shape}")
-        return IntMatrix(list(self.rows) + list(other.rows), self.ncols)
+        return IntMatrix._trusted(self.rows + other.rows, self.ncols)
 
     def reduced(self, ring: Ring) -> "IntMatrix":
         if ring.is_integers:
             return self
         k = ring.modulus
-        return IntMatrix([[x % k for x in row] for row in self.rows], self.ncols)
+        return IntMatrix._trusted([[x % k for x in row] for row in self.rows], self.ncols)
 
 
 @dataclass(frozen=True)
@@ -481,7 +501,7 @@ def smith_normal_form(
             break
         t += 1
 
-    wrap = lambda rows, width: IntMatrix(rows, width)
+    wrap = IntMatrix._trusted
     return SmithDecomposition(
         d=wrap(a, ncols),
         u=wrap(u, nrows) if u is not None else None,
@@ -489,6 +509,79 @@ def smith_normal_form(
         u_inv=wrap(uinv, nrows) if uinv is not None else None,
         v_inv=wrap(vinv, ncols) if vinv is not None else None,
     )
+
+
+def invariant_factors(m: IntMatrix) -> list[int]:
+    """The nonzero Smith diagonal of m, d_1 | d_2 | ..., with no transforms.
+
+    Rows are held sparse, as {column: value}, with a column-to-rows index.
+    While a +-1 entry is left, one is taken as pivot from a column with the
+    fewest entries (a Markowitz-style choice that keeps fill-in low), and its
+    row and column are eliminated: over Z the Schur complement on a unit
+    pivot is exact, and the pivot contributes the factor 1. The residual
+    block, which has no unit entry, goes to a diagonal-only
+    ``smith_normal_form``. The Smith diagonal is canonical, so the pivot
+    order never shows in the result.
+    """
+    rows = {}
+    cols = {}
+    for i, row in enumerate(m.rows):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    # Candidate columns keyed by their entry count; an item is stale once the
+    # column's count has changed, and every change pushes a fresh one.
+    heap = [(len(members), j) for j, members in cols.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        count, q = heapq.heappop(heap)
+        members = cols.get(q)
+        if members is None or len(members) != count:
+            continue
+        unit_rows = [i for i in members if rows[i][q] in (1, -1)]
+        if not unit_rows:
+            continue
+        p = min(unit_rows, key=lambda i: (len(rows[i]), i))
+        del cols[q]
+        members.discard(p)
+        pivot_row = rows.pop(p)
+        u = pivot_row.pop(q)
+        for j in pivot_row:
+            cols[j].discard(p)
+        for i in members:
+            target = rows[i]
+            f = target.pop(q) * u
+            for j, x in pivot_row.items():
+                y = target.get(j, 0) - f * x
+                if y:
+                    if j not in target:
+                        cols[j].add(i)
+                    target[j] = y
+                else:
+                    del target[j]
+                    cols[j].discard(i)
+            if not target:
+                del rows[i]
+        units += 1
+        for j in pivot_row:
+            if cols[j]:
+                heapq.heappush(heap, (len(cols[j]), j))
+            else:
+                del cols[j]
+    factors = [1] * units
+    if rows:
+        col_ids = sorted(cols)
+        residual = IntMatrix._trusted(
+            [[r.get(j, 0) for j in col_ids] for r in rows.values()], len(col_ids)
+        )
+        snf = smith_normal_form(
+            residual, want_u=False, want_v=False, want_u_inv=False, want_v_inv=False
+        )
+        factors += snf.invariant_factors
+    return factors
 
 
 def _kernel_column_indices(snf: SmithDecomposition) -> list[int]:
@@ -524,49 +617,53 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
 
     ``d_in`` maps into the ambient free module (ambient-rank rows), ``d_out``
     maps out of it (ambient-rank columns); d_out * d_in must vanish over the
-    ring. The kernel is read off the column transform of one Smith
-    decomposition; relation columns are expressed in kernel coordinates via
-    ``v_inv`` (no second linear solve needed), and their Smith diagonal gives
-    the divisor chain.
+    ring. For maps a (out) and b (in) over Z with a * b = 0,
+
+        ker a / im b  =  Z^(ambient - rk a - rk b)  +  sum over d_i >= 2 of Z/d_i,
+
+    where the d_i are the invariant factors of b: ker a is a direct summand
+    of the ambient module (the quotient embeds in a free module), so it
+    splits off the free part of the cokernel of b. Only Smith diagonals are
+    needed (``invariant_factors``), no transforms.
+
+    Over Z/m the formula does not apply to the matrices as given: it sees
+    only invariant factors, and over Z/4, d_in = diag(2, 0) gives Z/2 + Z/2
+    with d_out = diag(0, 2) but Z/4 with d_out = diag(2, 0). The pair is
+    lifted to Z instead (``_lifted_pair``), with the relation columns lifted
+    into the kernel of [d_out | m I]; that lifted pair composes to exactly
+    zero over Z and has the same subquotient, so the formula applies to it.
     """
     if d_out.ncols != d_in.nrows:
         raise ShapeMismatchError(
             f"ambient rank mismatch: d_out has {d_out.ncols} columns, "
             f"d_in has {d_in.nrows} rows"
         )
-    if not ring.is_zero_matrix(d_out @ d_in):
+    composite = d_out @ d_in
+    if not ring.is_zero_matrix(composite):
         raise CompositionNotZeroError("d_out * d_in is nonzero over " + ring.render())
 
     if ring.is_integers:
-        a, b_full = d_out, d_in
+        a, b = d_out, d_in
     else:
-        a, b_full = _lifted_pair(d_in, d_out, ring)
+        a, b = _lifted_pair(d_in, d_out, ring)
         # Lift each relation column into the kernel lattice of [d_out | m I]:
         # the second block is -(d_out * column) / m, integral by the
         # composition check above.
         k = ring.modulus
-        tail = d_out @ d_in  # (r_out x s); entries divisible by k
-        lift_in = IntMatrix(
-            [[-x // k for x in row] for row in tail.rows], tail.ncols
+        lift_in = IntMatrix._trusted(
+            [[-x // k for x in row] for row in composite.rows], composite.ncols
         )
-        # m I block of b_full lifts with second block -d_out (since
+        # m I block of b lifts with second block -d_out (since
         # d_out * (m e_j) / m = d_out e_j).
-        lift_mod = d_out.neg()
-        b_full = b_full.vstack(lift_in.hstack(lift_mod))
+        b = b.vstack(lift_in.hstack(d_out.neg()))
 
-    snf = smith_normal_form(a, want_u=False, want_u_inv=False)
-    kernel_idx = _kernel_column_indices(snf)
-    kernel_set = set(kernel_idx)
-    coords = snf.v_inv @ b_full
-    for i in range(coords.nrows):
-        if i not in kernel_set and any(coords.rows[i]):
-            raise CompositionNotZeroError(
-                "relations do not land in the kernel (inconsistent complex)"
-            )
-    y = coords.rows_at(kernel_idx)
-    snf_y = smith_normal_form(y, want_u=False, want_v=False, want_u_inv=False, want_v_inv=False)
-    factors = snf_y.invariant_factors
-    free_rank = len(kernel_idx) - len(factors)
+    rank_a = len(invariant_factors(a))
+    factors = invariant_factors(b)
+    free_rank = a.ncols - rank_a - len(factors)
+    if free_rank < 0:
+        raise CompositionNotZeroError(
+            "relations do not land in the kernel (inconsistent complex)"
+        )
     torsion = tuple(d for d in factors if d >= 2)
     if not ring.is_integers and free_rank != 0:
         raise AssertionError("modular subquotient came out infinite")

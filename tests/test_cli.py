@@ -393,3 +393,28 @@ def test_usage_error_exits_two(capsys):
         main(["limit", "--degree", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_negative_degrees_are_usage_errors(tmp_path, capsys):
+    system = str(tmp_path / "s.json")
+    write_system(_cospan_system(), system)
+    ses = str(tmp_path / "ses.json")
+    write_document(ses_to_doc(_coupled_ses()), ses)
+    category = str(tmp_path / "cat.json")
+    write_document(_monoid_category_doc(), category)
+    cases = [
+        (["limit", "--system", system, "--degree", "-1"], "--degree"),
+        (["limit", "--system", system, "--degree", "-3"], "--degree"),
+        (["verify", "--system", system, "--max-degree", "-1"], "--max-degree"),
+        (["les", "--ses", ses, "--max-degree", "-1"], "--max-degree"),
+        (["nerve", "--category", category, "--object", "o0", "--max-degree", "-1"],
+         "--max-degree"),
+    ]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and f"argument {flag}:" in captured.err, argv
+        assert "at least 0" in captured.err and "Traceback" not in captured.err

@@ -1,10 +1,13 @@
 """Smith normal form, subquotient invariants, and exact solving."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from rooslab.complexes import build_complex, limit_complex
+from rooslab.gen import random_system
 from rooslab.io import parse_ring
 from rooslab.linalg import (
     CompositionNotZeroError,
@@ -13,6 +16,7 @@ from rooslab.linalg import (
     Ring,
     ShapeMismatchError,
     cohomology_at,
+    invariant_factors,
     kernel_basis,
     smith_normal_form,
     solve,
@@ -283,3 +287,168 @@ def test_ring_parse_render():
         parse_ring("Q")
     with pytest.raises(ValueError):
         Ring.modular(1)
+
+
+def test_matrix_literal_checks():
+    with pytest.raises(ShapeMismatchError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ShapeMismatchError):
+        IntMatrix([[1, 2]], 3)
+    m = IntMatrix([[True, 2]])
+    assert m.rows == ((1, 2),)
+    assert all(type(x) is int for x in m.rows[0])
+    # Results built inside linalg skip those checks; they must still be the
+    # matrices a literal gives.
+    a = IntMatrix([[1, -2, 0], [3, 0, 4]])
+    b = IntMatrix([[2, 1], [0, -1], [5, 0]])
+    built = [
+        (a @ b, [[2, 3], [26, 3]]),
+        (a.hstack(IntMatrix([[7], [8]])), [[1, -2, 0, 7], [3, 0, 4, 8]]),
+        (IntMatrix.zeros(3, 0), [[], [], []]),
+        (IntMatrix.zeros(0, 3), []),
+    ]
+    for got, rows in built:
+        want = IntMatrix(rows, len(rows[0]) if rows else 3)
+        assert got.shape == want.shape and got == want and got.rows == want.rows
+
+
+def _sparse_unit_matrix(rng, nrows, ncols):
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i in range(nrows):
+        for j in range(ncols):
+            roll = rng.random()
+            if roll < 0.25:
+                rows[i][j] = rng.choice((1, -1))
+            elif roll < 0.35:
+                rows[i][j] = rng.randint(-6, 6)
+    return IntMatrix(rows, ncols)
+
+
+def _oracle_matrices():
+    rng = random.Random(40217)
+    for _ in range(80):
+        yield _sparse_unit_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        yield IntMatrix([[2 * rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)])
+    for shape in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+        yield IntMatrix.zeros(*shape)
+    for _ in range(20):
+        s = random_system(rng, max_elements=4)
+        for cx in (limit_complex(s, 3), build_complex(s, 2)):
+            yield from cx.diffs
+
+
+def test_invariant_factors_match_smith_diagonal():
+    for m in _oracle_matrices():
+        assert invariant_factors(m) == smith_normal_form(m).invariant_factors, m
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for m in _oracle_matrices():
+        if m.nrows * m.ncols > 400:
+            continue
+        d = sympy_snf(sympy.Matrix(m.nrows, m.ncols, [x for r in m.rows for x in r]),
+                      domain=sympy.ZZ)
+        want = [abs(int(d[i, i])) for i in range(min(m.shape)) if d[i, i] != 0]
+        assert invariant_factors(m) == want, m
+
+
+def _rank_over_q(m):
+    rows = [[Fraction(x) for x in r] for r in m.rows]
+    rank = 0
+    for j in range(m.ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_invariant_factors_form_a_divisor_chain_of_rational_rank():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(0, 6).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), max_size=6
+            ).map(lambda rows: IntMatrix(rows, ncols))
+        )
+    )
+    def check(m):
+        factors = invariant_factors(m)
+        assert all(d >= 1 for d in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert len(factors) == _rank_over_q(m)
+
+    check()
+
+
+def _cohomology_by_transforms(d_in, d_out, ring):
+    """The transform route: kernel coordinates from ``v_inv`` of one Smith
+    decomposition, then the Smith diagonal of the relations in them."""
+    if ring.is_integers:
+        a, b = d_out, d_in
+    else:
+        k = ring.modulus
+        a = d_out.hstack(IntMatrix.identity(d_out.nrows).scale(k))
+        tail = d_out @ d_in
+        lift_in = IntMatrix([[-x // k for x in row] for row in tail.rows], tail.ncols)
+        b = d_in.hstack(IntMatrix.identity(d_out.ncols).scale(k))
+        b = b.vstack(lift_in.hstack(d_out.neg()))
+    snf = smith_normal_form(a, want_u=False, want_u_inv=False)
+    diag = snf.diagonal
+    kernel_idx = [j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0]
+    coords = snf.v_inv @ b
+    for i in set(range(coords.nrows)) - set(kernel_idx):
+        assert not any(coords.rows[i])
+    factors = smith_normal_form(coords.rows_at(kernel_idx)).invariant_factors
+    return GroupInvariants(len(kernel_idx) - len(factors), tuple(d for d in factors if d >= 2))
+
+
+def _modular_pairs(rng, m, count):
+    """Random (d_in, d_out) with d_out * d_in = 0 mod m, by rejection."""
+    found = 0
+    while found < count:
+        amb, s, r = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        d_in = IntMatrix([[rng.choice((0, 0, rng.randrange(m))) for _ in range(s)]
+                          for _ in range(amb)], s)
+        d_out = IntMatrix([[rng.choice((0, 0, rng.randrange(m))) for _ in range(amb)]
+                           for _ in range(r)], amb)
+        if Ring.modular(m).is_zero_matrix(d_out @ d_in):
+            found += 1
+            yield d_in, d_out
+
+
+def test_cohomology_matches_transform_route():
+    rng = random.Random(61813)
+    z4 = Ring.modular(4)
+    d_in = IntMatrix([[2, 0], [0, 0]])
+    assert cohomology_at(d_in, IntMatrix([[0, 0], [0, 2]]), z4) == GroupInvariants(0, (2, 2))
+    assert cohomology_at(d_in, IntMatrix([[2, 0], [0, 0]]), z4) == GroupInvariants(0, (4,))
+    cases = 0
+    for ring in (Ring.integers(), Ring.modular(2), z4, Ring.modular(6)):
+        pairs = []
+        for _ in range(15):
+            cx = limit_complex(random_system(rng, ring=ring, max_elements=4), 4)
+            pairs += [(cx.diffs[n], cx.diffs[n + 1]) for n in range(cx.n_max)]
+        if ring.is_integers:
+            for _ in range(40):
+                d_in = _random_matrix(rng, rng.randint(1, 5), rng.randint(0, 4), -3, 3)
+                left = kernel_basis(d_in.transpose()).transpose()
+                pairs.append((d_in, left.rows_at(range(rng.randint(0, left.nrows)))))
+        else:
+            pairs += list(_modular_pairs(rng, ring.modulus, 60))
+        for d_in, d_out in pairs:
+            assert cohomology_at(d_in, d_out, ring) == _cohomology_by_transforms(d_in, d_out, ring)
+            cases += 1
+    assert cases > 400
