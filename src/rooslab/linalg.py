@@ -632,6 +632,8 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
     lifted to Z instead (``_lifted_pair``), with the relation columns lifted
     into the kernel of [d_out | m I]; that lifted pair composes to exactly
     zero over Z and has the same subquotient, so the formula applies to it.
+    [d_out | m I] has full row rank, so only the lifted relations are
+    reduced.
     """
     if d_out.ncols != d_in.nrows:
         raise ShapeMismatchError(
@@ -644,8 +646,10 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
 
     if ring.is_integers:
         a, b = d_out, d_in
+        rank_a = len(invariant_factors(a))
     else:
         a, b = _lifted_pair(d_in, d_out, ring)
+        rank_a = a.nrows  # the m I block is invertible over Q
         # Lift each relation column into the kernel lattice of [d_out | m I]:
         # the second block is -(d_out * column) / m, integral by the
         # composition check above.
@@ -657,7 +661,6 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
         # d_out * (m e_j) / m = d_out e_j).
         b = b.vstack(lift_in.hstack(d_out.neg()))
 
-    rank_a = len(invariant_factors(a))
     factors = invariant_factors(b)
     free_rank = a.ncols - rank_a - len(factors)
     if free_rank < 0:
