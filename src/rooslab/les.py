@@ -7,14 +7,17 @@ long exact sequence through connecting maps. ``les_of_ses`` computes the
 base-ring derived limits of all three systems and then verifies exactness
 of the long sequence position by position over several fields.
 
-The field-side linear algebra is deliberately integer-backed: one Smith
-decomposition per differential serves every field at once, because reducing
-a divisor chain modulo p zeroes out a suffix, so field ranks, kernels
-(columns of the column transform past the field rank), and cohomology
-projections/sections (rows and columns of the relation matrix's row
-transform) all come from integer matrices. Division in the field only
-happens inside the two connecting-map lifts, which solve through the
-integer decompositions of the inclusion and projection block matrices.
+The field-side linear algebra is one routine, ``_echelon``: the reduced row
+echelon form of sparse rows over the field, taken separately for every
+field. Ranks are its pivot counts. A cocycle's coordinates are its entries
+at the free (pivot-less) columns of d_out; the coboundaries, the columns of
+d_in, are brought to echelon form in those coordinates, and a class's
+coordinates are a cocycle's coordinates reduced modulo that form, read at
+the free columns where it has no pivot. The kernel vector with a 1 at one
+such column and 0 at every other free column represents the matching
+standard basis class. The two connecting-map lifts are multi-column solves:
+the echelon form of the lifting map with the right-hand sides riding along
+as extra columns.
 
 Equivalence classes of the index are collapsed to representatives first
 (every element is isomorphic to its representative, so derived limits are
@@ -27,33 +30,61 @@ degenerate-tuple oracle (tested on random sequences).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .complexes import RoosComplex, build_complex
-from .linalg import (
-    GroupInvariants,
-    IntMatrix,
-    Ring,
-    SmithDecomposition,
-    smith_normal_form,
-)
+from .linalg import IntMatrix, Ring
 from .systems import SystemSES, validate_ses
+
+# Miller-Rabin with the primes up to 41 as bases decides primality for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n >= _PRIME_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: the primality test is proven "
+            f"only below {_PRIME_BOUND}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
     """The rationals (p = 0) or a prime field, acting on plain scalars.
 
-    Rational scalars are ``fractions.Fraction`` (ints welcome wherever
-    exactness allows); prime-field scalars are ints normalized to [0, p).
+    Rational scalars are ints or ``fractions.Fraction``; prime-field scalars
+    are ints normalized to [0, p).
     """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = 0):
-        if p:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-                raise ValueError(f"{p} is not prime")
+        if p and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, *_):
@@ -68,178 +99,147 @@ class Field:
     def render(self) -> str:
         return "Q" if self.p == 0 else f"GF({self.p})"
 
-    def of(self, x: int):
-        return x % self.p if self.p else x
-
     def norm(self, x):
+        """The field element an integer (or a field scalar) stands for."""
         return x % self.p if self.p else x
 
-    def div(self, a, b):
+    def inv(self, x):
+        """Inverse of a nonzero scalar; a rational +-1 stays an int."""
         if self.p:
-            return a * pow(b, -1, self.p) % self.p
-        return Fraction(a) / Fraction(b)
+            return pow(x, -1, self.p)
+        return x if x == 1 or x == -1 else 1 / Fraction(x)
 
 
-class _FM:
-    """Dense field matrix with explicit shape (sizes here are tiny)."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows, nrows, ncols):
-        self.rows = rows
-        self.nrows = nrows
-        self.ncols = ncols
-
-    @classmethod
-    def from_int(cls, field: Field, m: IntMatrix) -> "_FM":
-        return cls(
-            [[field.of(x) for x in row] for row in m.rows], m.nrows, m.ncols
-        )
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "_FM":
-        zero = field.of(0)
-        return cls([[zero] * ncols for _ in range(nrows)], nrows, ncols)
-
-    def mul(self, field: Field, other: "_FM") -> "_FM":
-        assert self.ncols == other.nrows
-        out = []
-        for arow in self.rows:
-            row = [field.of(0)] * other.ncols
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in enumerate(other.rows[k]):
-                        if b:
-                            row[j] = field.norm(row[j] + a * b)
-            out.append(row)
-        return _FM(out, self.nrows, other.ncols)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
-
-    def rank(self, field: Field) -> int:
-        rows = [list(r) for r in self.rows]
-        rank = 0
-        for col in range(self.ncols):
-            piv = None
-            for i in range(rank, len(rows)):
-                if rows[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = field.div(field.of(1), rows[rank][col])
-            rows[rank] = [field.norm(x * inv) for x in rows[rank]]
-            for i in range(len(rows)):
-                if i != rank and rows[i][col]:
-                    c = rows[i][col]
-                    rows[i] = [
-                        field.norm(x - c * y) for x, y in zip(rows[i], rows[rank])
-                    ]
-            rank += 1
-        return rank
+def _sparse_rows(m: IntMatrix) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
 
-def _int_apply(field: Field, m: IntMatrix, vec: list) -> list:
-    """Apply an integer matrix to a field vector."""
-    out = []
-    for row in m.rows:
-        acc = 0
-        for a, x in zip(row, vec):
-            if a and x:
-                acc += a * x
-        out.append(field.norm(acc))
+def _sparse_cols(m: IntMatrix) -> list[dict]:
+    return _sparse_rows(m.transpose())
+
+
+def _axpy(field: Field, target: dict, c, source: dict) -> None:
+    """target += c * source in place, touching only source's entries."""
+    norm = field.norm
+    for k, y in source.items():
+        z = norm(target.get(k, 0) + c * y)
+        if z:
+            target[k] = z
+        else:
+            target.pop(k, None)
+
+
+def _combine(field: Field, columns: list, coeffs: dict) -> dict:
+    """The sparse vector sum of coeffs[k] * columns[k]."""
+    out = {}
+    for k, c in coeffs.items():
+        _axpy(field, out, c, columns[k])
     return out
 
 
-def _field_rank(field: Field, snf: SmithDecomposition) -> int:
-    if field.p == 0:
-        return snf.rank
-    return sum(1 for d in snf.diagonal if d % field.p)
+def _pivot(rows: list, width) -> tuple[int, int] | None:
+    """(row, column) of an entry +-1 in a column below ``width``, else of the
+    first entry found there, else None."""
+    first = None
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j < width:
+                if x == 1 or x == -1:
+                    return i, j
+                if first is None:
+                    first = i, j
+    return first
 
 
-def _field_solve(field: Field, snf: SmithDecomposition, b: list) -> list | None:
-    """Canonical field solution of m x = b from m's integer decomposition."""
-    c = _int_apply(field, snf.u, b)
-    diag = snf.diagonal
-    y = [field.of(0)] * snf.d.ncols
-    for i, ci in enumerate(c):
-        d = field.of(diag[i]) if i < len(diag) else 0
-        if d:
-            y[i] = field.div(ci, d)
-        elif ci:
-            return None
-    return _int_apply(field, snf.v, y)
+def _echelon(field: Field, rows, width) -> tuple[dict, list]:
+    """Reduced row echelon form of sparse rows ({column: scalar}) over the field.
+
+    The rows are read, normalized into the field and copied, never changed.
+    Pivots are taken in columns below ``width``; columns from ``width`` on
+    ride along as right-hand sides. A pivot of +-1 is preferred, so that
+    integer rows stay integral over Q. Returns the pivot rows, as
+    {pivot column: row}, each scaled to 1 at its pivot and zero at every
+    other pivot column, and the nonzero rows left with no entry below
+    ``width``.
+    """
+    norm = field.norm
+    rows = [{j: y for j, x in row.items() if (y := norm(x))} for row in rows]
+    pivots = {}
+    while (at := _pivot(rows, width)) is not None:
+        i, j = at
+        prow = rows[i]
+        rows[i] = rows[-1]
+        rows.pop()
+        x = prow[j]
+        if x != 1:
+            s = field.inv(x)
+            prow = {k: norm(s * y) for k, y in prow.items()}
+        for row in chain(rows, pivots.values()):
+            if j in row:
+                _axpy(field, row, -row[j], prow)
+        pivots[j] = prow
+    return pivots, [row for row in rows if row]
 
 
-class _HSpace:
-    """Cohomology of one complex at one degree over one field.
+def _rank(field: Field, vectors) -> int:
+    return len(_echelon(field, vectors, math.inf)[0])
 
-    ``basis`` holds integer ambient representatives of a basis (one column
-    per class); ``coords`` maps an ambient field cocycle to its class in the
-    basis coordinates. Projection and section satisfy P S = I by
-    construction, and basis columns map to the standard basis.
+
+def _solve(field: Field, rows: list, width: int, rhs: list, what: str) -> list:
+    """Solutions x_k of A x_k = rhs[k], free coordinates zero, for the matrix
+    A with sparse ``rows`` and ``width`` columns."""
+    augmented = [dict(row) for row in rows]
+    for k, b in enumerate(rhs):
+        for i, x in b.items():
+            augmented[i][width + k] = x
+    pivots, rest = _echelon(field, augmented, width)
+    if rest:
+        raise ArithmeticError(f"connecting lift through the {what} failed")
+    solutions = [{} for _ in rhs]
+    for j, row in pivots.items():
+        for c, x in row.items():
+            if c >= width:
+                solutions[c - width][j] = x
+    return solutions
+
+
+class _Cohomology:
+    """H^n of one complex over one field, in coordinates.
+
+    ``coords`` takes an ambient cocycle (sparse) to its class in the
+    coordinates of ``basis``, whose k-th vector, an ambient cocycle, maps to
+    the k-th standard vector.
     """
 
-    __slots__ = ("dim", "basis", "project", "_v_out_inv", "_r_out", "_field")
+    __slots__ = ("field", "basis", "_out", "_relations", "_position")
 
-    def __init__(self, field, snf_out, snf_y, r_out):
-        z = snf_out.d.ncols - r_out
-        r_y = _field_rank(field, snf_y)
-        self.dim = z - r_y
-        self.project = snf_y.u.rows_at(range(r_y, z))
-        section = snf_y.u_inv.cols_at(range(r_y, z))
-        cocycles = snf_out.v.cols_at(range(r_out, snf_out.d.ncols))
-        self.basis = cocycles @ section
-        self._v_out_inv = snf_out.v_inv
-        self._r_out = r_out
-        self._field = field
+    def __init__(self, field: Field, d_out_rows: list, d_in_cols: list, ambient: int):
+        out = _echelon(field, d_out_rows, ambient)[0]
+        coboundaries = [
+            {j: x for j, x in col.items() if j not in out} for col in d_in_cols
+        ]
+        relations = _echelon(field, coboundaries, ambient)[0]
+        classes = [j for j in range(ambient) if j not in out and j not in relations]
+        norm = field.norm
+        self.field = field
+        self.basis = [
+            {q: 1, **{p: norm(-row[q]) for p, row in out.items() if q in row}}
+            for q in classes
+        ]
+        self._out = out
+        self._relations = relations
+        self._position = {q: k for k, q in enumerate(classes)}
 
-    def coords(self, vec: list) -> list:
-        full = _int_apply(self._field, self._v_out_inv, vec)
-        return _int_apply(self._field, self.project, full[self._r_out :])
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
-    def map_from(self, columns: IntMatrix) -> _FM:
-        """Induced matrix on classes of the given integer cocycle columns."""
-        field = self._field
-        full = self._v_out_inv @ columns
-        sliced = full.rows_at(range(self._r_out, full.nrows))
-        return _FM.from_int(field, self.project @ sliced)
-
-
-class _ComplexData:
-    """Per-complex cache of integer decompositions shared across fields."""
-
-    __slots__ = ("cx", "_snf_out", "_yfull", "_ysnf")
-
-    def __init__(self, cx: RoosComplex):
-        self.cx = cx
-        self._snf_out = {}
-        self._yfull = {}
-        self._ysnf = {}
-
-    def snf_out(self, n: int) -> SmithDecomposition:
-        if n not in self._snf_out:
-            self._snf_out[n] = smith_normal_form(
-                self.cx.diffs[n + 1], want_u=False, want_u_inv=False
-            )
-        return self._snf_out[n]
-
-    def _relations(self, n: int) -> IntMatrix:
-        if n not in self._yfull:
-            self._yfull[n] = self.snf_out(n).v_inv @ self.cx.diffs[n]
-        return self._yfull[n]
-
-    def hspace(self, n: int, field: Field) -> _HSpace:
-        snf_out = self.snf_out(n)
-        r_out = _field_rank(field, snf_out)
-        if (n, r_out) not in self._ysnf:
-            y = self._relations(n).rows_at(range(r_out, self.cx.dimension(n)))
-            self._ysnf[(n, r_out)] = smith_normal_form(
-                y, want_v=False, want_v_inv=False
-            )
-        return _HSpace(field, snf_out, self._ysnf[(n, r_out)], r_out)
+    def coords(self, cocycle: dict) -> dict:
+        w = {j: x for j, x in cocycle.items() if j not in self._out}
+        for j, row in self._relations.items():
+            if j in w:
+                _axpy(self.field, w, -w[j], row)
+        return {self._position[j]: x for j, x in w.items()}
 
 
 @dataclass(frozen=True)
@@ -297,13 +297,8 @@ def _levelwise_field_reason(e: SystemSES, field: Field) -> str | None:
     """Why the reduced levelwise sequence fails to be exact over the field,
     or None if it is exact everywhere."""
     for lam in e.mid.index.elements:
-        snf_i = smith_normal_form(
-            e.inject[lam], want_u=False, want_v=False, want_u_inv=False, want_v_inv=False
-        )
-        snf_p = smith_normal_form(
-            e.project[lam], want_u=False, want_v=False, want_u_inv=False, want_v_inv=False
-        )
-        ri, rp = _field_rank(field, snf_i), _field_rank(field, snf_p)
+        ri = _rank(field, _sparse_rows(e.inject[lam]))
+        rp = _rank(field, _sparse_rows(e.project[lam]))
         if ri != e.sub.rank(lam):
             return f"inclusion at {lam!r} loses injectivity over {field.render()}"
         if rp != e.quot.rank(lam):
@@ -313,19 +308,20 @@ def _levelwise_field_reason(e: SystemSES, field: Field) -> str | None:
     return None
 
 
-def _check_position(field, field_name, degree, at, dim, in_mat: _FM, out_mat: _FM):
+def _check_position(field, degree, at, dim, in_map: list, out_map: list):
+    """Exactness at one position; each map is the list of its columns, the
+    classes of the images of its source basis."""
     problems = []
-    if in_mat.ncols and out_mat.nrows:
-        if not out_mat.mul(field, in_mat).is_zero():
-            problems.append("composite nonzero")
-    ri = in_mat.rank(field)
-    ro = out_mat.rank(field)
+    if any(_combine(field, out_map, col) for col in in_map):
+        problems.append("composite nonzero")
+    ri = _rank(field, in_map)
+    ro = _rank(field, out_map)
     if ri + ro != dim:
         problems.append("rank gap")
     detail = f"rank(in)={ri} rank(out)={ro} dim={dim}"
     if problems:
         detail += " [" + ", ".join(problems) + "]"
-    return LesPosition(field_name, degree, at, not problems, detail)
+    return LesPosition(field.render(), degree, at, not problems, detail)
 
 
 def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
@@ -381,17 +377,17 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
 
     if fields is None:
         fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
-    data_sub, data_mid, data_quot = (
-        _ComplexData(cx_sub),
-        _ComplexData(cx_mid),
-        _ComplexData(cx_quot),
-    )
-    snf_inj = {}
-    snf_prj = {}
+    complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
+    diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
+    diff_cols = {part: [_sparse_cols(d) for d in cx.diffs] for part, cx in complexes.items()}
+    inj_rows = {n: _sparse_rows(m) for n, m in inj.items()}
+    inj_cols = {n: _sparse_cols(m) for n, m in inj.items()}
+    prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
+    prj_cols = {n: _sparse_cols(m) for n, m in prj.items()}
     applied = []
     skipped = {}
     positions = []
-    for p in fields:
+    for p in dict.fromkeys(fields):
         field = Field(p)
         name = field.render()
         if not ring.is_integers and p and ring.modulus % p:
@@ -405,53 +401,35 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             skipped[name] = reason
             continue
         applied.append(name)
-        h_sub = {n: data_sub.hspace(n, field) for n in range(n_max + 2)}
-        h_mid = {n: data_mid.hspace(n, field) for n in range(n_max + 1)}
-        h_quot = {n: data_quot.hspace(n, field) for n in range(n_max + 1)}
-        f_maps = {}
-        g_maps = {}
-        d_maps = {}
+        h = {}
+        for part, cx in complexes.items():
+            for n in range(cx.n_max):
+                h[part, n] = _Cohomology(
+                    field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
+                )
+        d_prev = []
         for n in range(n_max + 1):
-            f_maps[n] = h_mid[n].map_from(inj[n] @ h_sub[n].basis)
-            g_maps[n] = h_quot[n].map_from(prj[n] @ h_mid[n].basis)
-            if n + 1 not in snf_inj:
-                snf_inj[n + 1] = smith_normal_form(inj[n + 1], want_u_inv=False, want_v_inv=False)
-            if n not in snf_prj:
-                snf_prj[n] = smith_normal_form(prj[n], want_u_inv=False, want_v_inv=False)
-            cols = []
-            basis = h_quot[n].basis
-            for j in range(basis.ncols):
-                b = [field.of(row[j]) for row in basis.rows]
-                c = _field_solve(field, snf_prj[n], b)
-                if c is None:
-                    raise ArithmeticError("connecting lift through the projection failed")
-                d = _int_apply(field, cx_mid.diffs[n + 1], c)
-                eo = _field_solve(field, snf_inj[n + 1], d)
-                if eo is None:
-                    raise ArithmeticError("connecting lift through the inclusion failed")
-                if any(_int_apply(field, cx_sub.diffs[n + 2], eo)):
-                    raise ArithmeticError("connecting image is not a cocycle")
-                cols.append(h_sub[n + 1].coords(eo))
-            d_maps[n] = _FM(
-                [[col[i] for col in cols] for i in range(h_sub[n + 1].dim)],
-                h_sub[n + 1].dim,
-                basis.ncols,
+            f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
+            g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
+            # Connecting map: lift each class of quot through the projection,
+            # apply the middle differential, pull back through the inclusion.
+            lifts = _solve(
+                field, prj_rows[n], cx_mid.dimension(n), h["quot", n].basis, "projection"
             )
-        for n in range(n_max + 1):
-            incoming = (
-                d_maps[n - 1]
-                if n
-                else _FM.zeros(field, h_sub[0].dim, 0)
+            images = _solve(
+                field,
+                inj_rows[n + 1],
+                cx_sub.dimension(n + 1),
+                [_combine(field, diff_cols["mid"][n + 1], c) for c in lifts],
+                "inclusion",
             )
-            positions.append(
-                _check_position(field, name, n, "sub", h_sub[n].dim, incoming, f_maps[n])
-            )
-            positions.append(
-                _check_position(field, name, n, "mid", h_mid[n].dim, f_maps[n], g_maps[n])
-            )
-            positions.append(
-                _check_position(field, name, n, "quot", h_quot[n].dim, g_maps[n], d_maps[n])
-            )
+            if any(_combine(field, diff_cols["sub"][n + 2], v) for v in images):
+                raise ArithmeticError("connecting image is not a cocycle")
+            d = [h["sub", n + 1].coords(v) for v in images]
+            positions.append(_check_position(field, n, "sub", h["sub", n].dim, d_prev, f))
+            positions.append(_check_position(field, n, "mid", h["mid", n].dim, f, g))
+            positions.append(_check_position(field, n, "quot", h["quot", n].dim, g, d))
+            d_prev = d
     return LesReport(
         ring=ring,
         n_max=n_max,

@@ -19,6 +19,13 @@ sequences) reduces to the routines implemented here:
 * ``solve`` finds the canonical solution of ``m x = b`` (free coordinates set
   to zero after SNF back-substitution), or reports that none exists.
 
+Production code runs ``smith_normal_form`` diagonal-only, on the residual
+block of ``invariant_factors``. Its transforms (``SmithDecomposition.u``,
+``v``, ``u_inv``, ``v_inv``), ``solve`` and ``kernel_basis`` have no
+production caller: they are declared test oracles, the independent route
+that the tests hold the transform-free cohomology and the per-field echelon
+form of ``les`` against.
+
 ``IntMatrix`` is dense, immutable, and carries plain Python integers;
 ``invariant_factors`` works on a sparse copy. At desk scale exactness matters
 and machine precision does not.
@@ -132,10 +139,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def column(cls, entries) -> "IntMatrix":
-        return cls([[int(x)] for x in entries], 1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -156,27 +159,8 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def mutable_rows(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"add {self.shape} vs {other.shape}")
-        return IntMatrix._trusted(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"sub {self.shape} vs {other.shape}")
-        return IntMatrix._trusted(
-            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
 
     def neg(self) -> "IntMatrix":
         return IntMatrix._trusted([[-x for x in row] for row in self.rows], self.ncols)
@@ -251,12 +235,6 @@ class IntMatrix:
         if self.ncols != other.ncols:
             raise ShapeMismatchError(f"vstack {self.shape} with {other.shape}")
         return IntMatrix._trusted(self.rows + other.rows, self.ncols)
-
-    def reduced(self, ring: Ring) -> "IntMatrix":
-        if ring.is_integers:
-            return self
-        k = ring.modulus
-        return IntMatrix._trusted([[x % k for x in row] for row in self.rows], self.ncols)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ the row/column layout of every differential matrix downstream.
 from __future__ import annotations
 
 
-class NotMonotoneError(ValueError):
-    """A would-be monotone map reverses some relation."""
-
-
 class QuasiOrder:
     """Finite quasi-order over hashable labels.
 
@@ -184,40 +180,4 @@ def face(t: tuple, i: int) -> tuple:
     if not 0 <= i < len(t):
         raise IndexError(f"face index {i} out of range for tuple of length {len(t)}")
     return t[:i] + t[i + 1 :]
-
-
-class MonotoneMap:
-    """Order-preserving map between quasi-orders; checked at construction."""
-
-    __slots__ = ("source", "target", "assignment")
-
-    def __init__(self, source: QuasiOrder, target: QuasiOrder, assignment: dict):
-        for e in source.elements:
-            if e not in assignment:
-                raise ValueError(f"assignment misses source element {e!r}")
-            if assignment[e] not in target:
-                raise ValueError(f"{e!r} maps to unknown target {assignment[e]!r}")
-        for a, b in source.related_pairs(include_diagonal=False):
-            if not target.leq(assignment[a], assignment[b]):
-                raise NotMonotoneError(
-                    f"{a!r} <= {b!r} but images {assignment[a]!r}, "
-                    f"{assignment[b]!r} are not related"
-                )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assignment", dict(assignment))
-
-    def __setattr__(self, *_):
-        raise AttributeError("MonotoneMap is immutable")
-
-    def __call__(self, e):
-        return self.assignment[e]
-
-    def is_cofinal(self) -> bool:
-        image = set(self.assignment[e] for e in self.source.elements)
-        return self.target.is_cofinal(image)
-
-    @classmethod
-    def inclusion(cls, q: QuasiOrder, subset) -> "MonotoneMap":
-        return cls(q.restrict(subset), q, {e: e for e in subset})
 

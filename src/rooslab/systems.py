@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .linalg import IntMatrix, Ring, cohomology_at
-from .orders import MonotoneMap, QuasiOrder
+from .orders import QuasiOrder
 
 TRUNCATION_NOTE = (
     "at a finite truncation the direct sum equals the product, so this system "
@@ -225,18 +225,6 @@ def collapse_equivalences(s: InverseSystem) -> InverseSystem:
     if len(reps) == len(s.index):
         return s
     return s.restrict(reps)
-
-
-def pullback(s: InverseSystem, phi: MonotoneMap) -> InverseSystem:
-    """Precompose the system with an order-preserving map into its index."""
-    if phi.target != s.index:
-        raise ValueError("map target is not the system's index order")
-    src = phi.source
-    ranks = {e: s.ranks[phi(e)] for e in src.elements}
-    bonds = {}
-    for a, b in src.related_pairs(include_diagonal=True):
-        bonds[(a, b)] = s.bond(phi(a), phi(b))
-    return InverseSystem(src, s.ring, ranks, bonds)
 
 
 @dataclass(frozen=True)

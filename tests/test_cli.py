@@ -194,6 +194,36 @@ def test_les_command(tmp_path, capsys):
     assert all(v["name"].startswith("GF(2)") for v in payload["verdicts"])
 
 
+
+def test_les_fields_drop_repeats(tmp_path, capsys):
+    path = str(tmp_path / "ses.json")
+    write_document(ses_to_doc(_coupled_ses()), path)
+    assert main(["les", "--ses", path, "--max-degree", "1", "--fields", "2,0,2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["fields"] == ["GF(2)", "Q"]
+    assert payload["stats"]["positions"] == 12
+    names = [v["name"] for v in payload["verdicts"]]
+    assert len(names) == len(set(names)) == 12
+
+
+def test_les_large_prime_fields(tmp_path, capsys):
+    path = str(tmp_path / "ses.json")
+    write_document(ses_to_doc(_coupled_ses()), path)
+    mersenne = 2**61 - 1  # prime; trial division up to its root never ends
+    argv = ["les", "--ses", path, "--max-degree", "1", "--fields", str(mersenne), "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["fields"] == [f"GF({mersenne})"]
+    assert payload["ok"] is True
+
+    # 2^89 - 1 is prime too, but past the range where the test is proven.
+    for p, message in ((2**89 - 1, "cannot decide"), (2**61 + 1, "is not prime")):
+        argv = ["les", "--ses", path, "--max-degree", "1", "--fields", str(p)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
 def test_nerve_command(tmp_path, capsys):
     path = str(tmp_path / "cat.json")
     write_document(_monoid_category_doc(), path)

@@ -6,8 +6,8 @@ import pytest
 
 from rooslab.complexes import derived_limit
 from rooslab.gen import random_ses
-from rooslab.les import Field, les_of_ses
-from rooslab.linalg import GroupInvariants, IntMatrix, Ring
+from rooslab.les import Field, _rank, _solve, _sparse_rows, les_of_ses
+from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors, solve
 from rooslab.orders import QuasiOrder
 from rooslab.systems import InverseSystem, SystemSES, validate_ses
 
@@ -57,6 +57,50 @@ def _coupled_cospan_ses():
     return SystemSES(sub=sub, mid=mid, quot=quot, inject=inject, project=project)
 
 
+
+def _block(rng, rows, cols):
+    return IntMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def _coupled_two_level_ses(rng):
+    """A coupled sequence on a random order of height one, where any bonds
+    are functorial: middle bonds are [[s, c], [0, t]] with random sub bond s,
+    quotient bond t and coupling c, and the connecting maps are often
+    nonzero."""
+    lows = [f"x{i}" for i in range(rng.randint(1, 2))]
+    highs = [f"y{j}" for j in range(rng.randint(2, 3))]
+    pairs = [(a, b) for a in lows for b in highs if rng.random() < 0.7]
+    q = QuasiOrder(lows + highs, pairs)
+    ring = Ring.integers()
+    r_sub = {e: rng.randint(1, 2) for e in q.elements}
+    r_quot = {e: rng.randint(1, 2) for e in q.elements}
+    r_mid = {e: r_sub[e] + r_quot[e] for e in q.elements}
+    b_sub, b_quot, b_mid = {}, {}, {}
+    for a, b in pairs:
+        s = b_sub[a, b] = _block(rng, r_sub[a], r_sub[b])
+        t = b_quot[a, b] = _block(rng, r_quot[a], r_quot[b])
+        c = _block(rng, r_sub[a], r_quot[b])
+        b_mid[a, b] = IntMatrix(
+            [s.rows[i] + c.rows[i] for i in range(r_sub[a])]
+            + [(0,) * r_sub[b] + t.rows[i] for i in range(r_quot[a])],
+            r_mid[b],
+        )
+    inject = {
+        e: IntMatrix([[int(i == j) for j in range(r_sub[e])] for i in range(r_mid[e])], r_sub[e])
+        for e in q.elements
+    }
+    project = {
+        e: IntMatrix([[int(j == r_sub[e] + i) for j in range(r_mid[e])] for i in range(r_quot[e])])
+        for e in q.elements
+    }
+    return SystemSES(
+        sub=InverseSystem(q, ring, r_sub, b_sub),
+        mid=InverseSystem(q, ring, r_mid, b_mid),
+        quot=InverseSystem(q, ring, r_quot, b_quot),
+        inject=inject,
+        project=project,
+    )
+
 def _position(rep, field, degree, at):
     for p in rep.positions:
         if p.field == field and p.degree == degree and p.at == at:
@@ -68,9 +112,11 @@ def test_field_scalars():
     with pytest.raises(ValueError):
         Field(4)
     gf5 = Field(5)
-    assert gf5.div(gf5.of(3), gf5.of(2)) == 4  # 3 * inverse(2) = 3 * 3
+    assert gf5.norm(-7) == 3
+    assert gf5.norm(3) * gf5.inv(2) % 5 == 4  # 3 * inverse(2) = 3 * 3
     q = Field(0)
-    assert q.div(1, 2) * 2 == 1
+    assert q.inv(2) * 2 == 1
+    assert type(q.inv(-1)) is int  # a +-1 pivot keeps rational rows integral
     assert gf5.render() == "GF(5)" and q.render() == "Q"
 
 
@@ -203,3 +249,87 @@ def test_stored_failing_ses_verdict_still_rejects():
     with pytest.raises(TypeError):
         broken.project["a"] = IntMatrix([[0, 1]])
     assert les_of_ses(e, 1).ok
+
+
+def test_connecting_maps_match_universal_coefficients():
+    # Over GF(p), dim H^n = free rank of lim^n plus the torsion divisors of
+    # lim^n and of lim^(n+1) that p divides (universal coefficients; over Q
+    # the free rank alone). Exactness then fixes every rank in the long
+    # sequence: rank f_n = dim sub_n - rank d_(n-1), rank g_n = dim mid_n -
+    # rank f_n, rank d_n = dim quot_n - rank g_n, starting from d_(-1) = 0.
+    rng = random.Random(6061)
+    n_max = 1
+    positions = connecting = 0
+    for _ in range(60):
+        e = _coupled_two_level_ses(rng)
+        rep = les_of_ses(e, n_max)
+        assert rep.ok and rep.fields == ("Q", "GF(2)", "GF(3)", "GF(5)")
+        groups = dict(rep.groups)
+        for part in ("sub", "mid", "quot"):
+            top = n_max + 2 if part == "sub" else n_max + 1
+            groups[part, top] = derived_limit(getattr(e, part), top)
+        for name, p in zip(rep.fields, (0, 2, 3, 5)):
+
+            def dim(part, n):
+                here, above = groups[part, n], groups[part, n + 1]
+                if p == 0:
+                    return here.free_rank
+                divisible = [d for d in here.torsion + above.torsion if d % p == 0]
+                return here.free_rank + len(divisible)
+
+            d_prev = 0
+            for n in range(n_max + 1):
+                f_n = dim("sub", n) - d_prev
+                g_n = dim("mid", n) - f_n
+                d_n = dim("quot", n) - g_n
+                ranks = (("sub", d_prev, f_n), ("mid", f_n, g_n), ("quot", g_n, d_n))
+                for at, r_in, r_out in ranks:
+                    want = f"rank(in)={r_in} rank(out)={r_out} dim={dim(at, n)}"
+                    assert _position(rep, name, n, at).detail == want
+                    positions += 1
+                connecting += d_n > 0
+                d_prev = d_n
+    assert positions == 60 * 4 * 3 * (n_max + 1)
+    assert connecting >= 20
+
+
+def test_echelon_agrees_with_integer_oracles():
+    # Over GF(p) the rank is the number of invariant factors p does not
+    # divide, and m x = b is solvable exactly when linalg.solve over Z/p
+    # finds a solution.
+    rng = random.Random(6062)
+    unsolvable = 0
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        field = Field(p)
+        nrows, inner, ncols = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        m = IntMatrix(
+            [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(nrows)], inner
+        ) @ IntMatrix([[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(inner)], ncols)
+        rows = _sparse_rows(m)
+        assert _rank(field, rows) == sum(1 for d in invariant_factors(m) if d % p)
+        assert _rank(Field(0), rows) == len(invariant_factors(m))
+        solvable = []
+        for _ in range(3):
+            if rng.random() < 0.5:
+                b = m.matvec([rng.randint(-3, 3) for _ in range(ncols)])
+            else:
+                b = [rng.randint(-3, 3) for _ in range(nrows)]
+            rhs = {i: x for i, x in enumerate(b) if x}
+            oracle = solve(m, b, Ring.modular(p))
+            try:
+                (x,) = _solve(field, rows, ncols, [rhs], "test")
+            except ArithmeticError:
+                assert oracle is None
+                unsolvable += 1
+                continue
+            assert oracle is not None
+            dense = [x.get(j, 0) for j in range(ncols)]
+            assert all((u - w) % p == 0 for u, w in zip(m.matvec(dense), b))
+            solvable.append((b, rhs))
+        # Several right-hand sides at once: one solution per column.
+        xs = _solve(field, rows, ncols, [rhs for _, rhs in solvable], "test")
+        for (b, _), x in zip(solvable, xs):
+            dense = [x.get(j, 0) for j in range(ncols)]
+            assert all((u - w) % p == 0 for u, w in zip(m.matvec(dense), b))
+    assert unsolvable > 20

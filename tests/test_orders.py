@@ -7,8 +7,6 @@ from itertools import product
 import pytest
 
 from rooslab.orders import (
-    MonotoneMap,
-    NotMonotoneError,
     QuasiOrder,
     chains,
     face,
@@ -153,16 +151,3 @@ def test_down_closure_and_restrict():
     assert r.leq("a", "c")
     assert r.is_partial()
 
-
-def test_monotone_map():
-    src = _chain(["1", "2"])
-    tgt = _chain(["a", "b", "c"])
-    phi = MonotoneMap(src, tgt, {"1": "a", "2": "c"})
-    assert phi("2") == "c"
-    assert phi.is_cofinal()
-    low = MonotoneMap(src, tgt, {"1": "a", "2": "b"})
-    assert not low.is_cofinal()
-    with pytest.raises(NotMonotoneError):
-        MonotoneMap(src, tgt, {"1": "c", "2": "a"})
-    inc = MonotoneMap.inclusion(tgt, ["a", "c"])
-    assert inc("c") == "c" and inc.is_cofinal()

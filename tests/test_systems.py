@@ -1,4 +1,4 @@
-"""Inverse systems: validation, restriction, pullback, grid truncations, SESs."""
+"""Inverse systems: validation, restriction, grid truncations, SESs."""
 
 import random
 
@@ -6,14 +6,13 @@ import pytest
 
 from rooslab.gen import random_quasi_order, random_ses, random_system
 from rooslab.linalg import IntMatrix, Ring
-from rooslab.orders import MonotoneMap, QuasiOrder
+from rooslab.orders import QuasiOrder
 from rooslab.systems import (
     BondError,
     InverseSystem,
     SystemSES,
     TruncationSpec,
     grid_cells,
-    pullback,
     surjective_bonds,
     truncated_A,
     validate_ses,
@@ -144,40 +143,6 @@ def test_restrict_full_and_point():
     assert s.restrict(["x", "y", "z"]) == s
     point = s.restrict(["x"])
     assert len(point.index) == 1 and point.rank("x") == 1
-
-
-def test_pullback_identity_and_constant():
-    s = _cospan_times_two()
-    ident = MonotoneMap(s.index, s.index, {e: e for e in s.index.elements})
-    assert pullback(s, ident) == s
-
-    q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    chain = InverseSystem(
-        q,
-        Ring.integers(),
-        {"a": 1, "b": 1, "c": 1},
-        {("a", "b"): IntMatrix([[2]]), ("b", "c"): IntMatrix([[3]])},
-    )
-    point = QuasiOrder(["p"])
-    phi = MonotoneMap(point, q, {"p": "c"})
-    const = pullback(chain, phi)
-    assert const.rank("p") == 1
-
-    two = QuasiOrder(["lo", "hi"], [("lo", "hi")])
-    ends = MonotoneMap(two, q, {"lo": "a", "hi": "c"})
-    assert pullback(chain, ends).bond("lo", "hi") == IntMatrix([[6]])
-
-
-def test_pullback_along_inclusion_equals_restrict():
-    rng = random.Random(314)
-    for _ in range(20):
-        s = random_system(rng)
-        elems = list(s.index.elements)
-        subset = [e for e in elems if rng.random() < 0.6] or [elems[0]]
-        phi = MonotoneMap.inclusion(s.index, subset)
-        a = pullback(s, phi)
-        b = s.restrict(subset)
-        assert a == b
 
 
 def test_random_systems_are_valid():
