@@ -330,9 +330,10 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
 
     ``fields`` lists characteristics: 0 for the rationals, a prime p for
     GF(p); the default is (0, 2, 3, 5) over the integers and the prime
-    divisors of the modulus over a modular ring. Fields where the reduced
-    levelwise sequence stops being exact are skipped with a reason rather
-    than failed — no long sequence is promised there.
+    divisors of the modulus over a modular ring; a repeated characteristic
+    counts once. Fields where the reduced levelwise sequence stops being
+    exact are skipped with a reason rather than failed — no long sequence is
+    promised there.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

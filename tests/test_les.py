@@ -57,7 +57,6 @@ def _coupled_cospan_ses():
     return SystemSES(sub=sub, mid=mid, quot=quot, inject=inject, project=project)
 
 
-
 def _block(rng, rows, cols):
     return IntMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols)
 
@@ -101,6 +100,7 @@ def _coupled_two_level_ses(rng):
         project=project,
     )
 
+
 def _position(rep, field, degree, at):
     for p in rep.positions:
         if p.field == field and p.degree == degree and p.at == at:
@@ -117,6 +117,17 @@ def test_field_scalars():
     q = Field(0)
     assert q.inv(2) * 2 == 1
     assert type(q.inv(-1)) is int  # a +-1 pivot keeps rational rows integral
+    # Miller-Rabin agrees with trial division, and rejects strong
+    # pseudoprimes to the first four and the first nine prime bases.
+    for n in range(2, 3000):
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            assert Field(n).p == n
+        else:
+            with pytest.raises(ValueError, match="not prime"):
+                Field(n)
+    for n in (3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="not prime"):
+            Field(n)
     assert gf5.render() == "GF(5)" and q.render() == "Q"
 
 
