@@ -190,6 +190,8 @@ def _cmd_les(args) -> int:
             fields = tuple(int(p) for p in args.fields.split(",") if p != "")
         except ValueError:
             raise DocumentError(f"--fields wants comma-separated integers, got {args.fields!r}")
+        if not fields:
+            raise DocumentError(f"--fields names no field, got {args.fields!r}")
     lrep = les_of_ses(ses, args.max_degree, fields=fields)
     report = Report(command=args.echo)
     for (part, n), group in sorted(lrep.groups.items()):

@@ -7,7 +7,9 @@ cells as a default value plus a finite exception table.  Everything decided
 here — domination everywhere or at all but finitely many positions,
 pairwise coherence of a family within a disagreement budget, exhaustive
 search for one colouring that agrees with every member up to the budget —
-is computed exactly from the finite data, never sampled.
+is computed exactly from the finite data, never sampled.  The search
+memoizes its failed states, so each is searched once, and still reports
+every assignment the plain lexicographic search would try.
 """
 
 from __future__ import annotations
@@ -315,53 +317,81 @@ def trivialize_report(
     least one.  ``space`` certifies exhaustiveness when nothing is found —
     it is the full number of candidate colourings the search covered
     (modulus to the number of union cells).
+
+    The depth-first search runs on an explicit stack, one level per cell,
+    so its depth is not bounded by Python's recursion limit.  A subtree
+    depends only on its cell index and the vector of per-member misses, and
+    the search stops at its first success, so a state met again has already
+    failed: each level remembers the failed miss vectors with the number of
+    assignments their subtrees tried, and a revisit adds that number instead
+    of searching again.  ``explored`` is therefore still the count of every
+    assignment the plain lexicographic search tries.
+
+    The miss vector is packed into one int: each member has a field of
+    ``budget.bit_length() + 1`` bits starting at ``top - budget``, where
+    ``top`` is the field's largest value, and a guard bit above it that
+    turns on exactly when the member's misses exceed the budget.  Trying
+    value v at cell t is then one addition of ``step[t][v]`` (a 1 in the
+    field of every member that v misses there) and one test of the guards.
     """
     if not isinstance(budget, int) or budget < 0:
         raise ValueError("budget must be a natural number")
     _check_horizon(family, horizon)
     k = family.modulus
     cells = sorted({c for f, _ in family.members for c in f.cells()})
+    n = len(cells)
     index = {c: t for t, c in enumerate(cells)}
-    wants = [[] for _ in cells]
+    width = budget.bit_length() + 1
+    top = (1 << width) - 1
+    start = guard = 0
+    step = [[0] * k for _ in cells]
     for m, (f, phi) in enumerate(family.members):
+        shift = m * (width + 1)
+        start |= (top - budget) << shift
+        guard |= 1 << (shift + width)
         for c in f.cells():
-            wants[index[c]].append((m, phi.value(c)))
-    misses = [0] * len(family.members)
-    assignment = [0] * len(cells)
-    explored = 0
+            row, want = step[index[c]], phi.value(c)
+            for v in range(k):
+                if v != want:
+                    row[v] += 1 << shift
 
-    def search(t: int) -> bool:
-        nonlocal explored
-        if t == len(cells):
-            return True
-        for v in range(k):
+    # failed[t]: miss vector on entering cell t -> assignments its subtree
+    # tried; failed[n] stays empty, reaching cell n is success.
+    failed = [{} for _ in range(n + 1)]
+    state = [start] * n  # miss vector on entering each cell of the path
+    resume = [0] * n  # next value to try at each cell; on success, its value + 1
+    entered = [0] * n  # explored when the path entered each cell
+    explored = 0
+    t = 0
+    while 0 <= t < n:
+        here, row, below = state[t], step[t], failed[t + 1]
+        v = resume[t]
+        while v < k:
             explored += 1
-            assignment[t] = v
-            failed_at = None
-            for pos, (m, want) in enumerate(wants[t]):
-                if v != want:
-                    misses[m] += 1
-                    if misses[m] > budget:
-                        failed_at = pos
-                        break
-            if failed_at is None:
-                if search(t + 1):
-                    return True
-                undo = len(wants[t])
-            else:
-                undo = failed_at + 1
-            for m, want in wants[t][:undo]:
-                if v != want:
-                    misses[m] -= 1
-        return False
+            after = here + row[v]
+            v += 1
+            if after & guard:
+                continue
+            tries = below.get(after)
+            if tries is None:
+                break
+            explored += tries
+        else:
+            failed[t][here] = explored - entered[t]
+            t -= 1
+            continue
+        resume[t] = v
+        t += 1
+        if t < n:
+            state[t], resume[t], entered[t] = after, 0, explored
 
     found = None
-    if search(0):
+    if t == n:
         carrier = EvcFun.of(())
         for f, _ in family.members:
             carrier = evc_join(carrier, f)
         found = GridFun.make(
-            carrier, k, 0, {c: assignment[index[c]] for c in cells}
+            carrier, k, 0, {c: v - 1 for c, v in zip(cells, resume)}
         )
     return TrivializationReport(
         found, budget, horizon, tuple(cells), k ** len(cells), explored

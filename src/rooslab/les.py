@@ -265,16 +265,27 @@ class LesReport:
         return all(p.ok for p in self.positions)
 
 
-def _prime_divisors(m: int) -> list[int]:
+# Trial division for the default fields of Z/m stops here; what is left of m
+# must then pass _is_prime.
+_TRIAL_BOUND = 1 << 16
+
+
+def _prime_divisors(modulus: int) -> list[int]:
     out = []
-    d = 2
-    while d * d <= m:
+    m, d = modulus, 2
+    while d < _TRIAL_BOUND and d * d <= m:
         if m % d == 0:
             out.append(d)
             while m % d == 0:
                 m //= d
         d += 1
     if m > 1:
+        if m >= _PRIME_BOUND or not _is_prime(m):
+            raise ValueError(
+                f"cannot find the prime divisors of the modulus {modulus}: {m} has "
+                f"no prime factor below {_TRIAL_BOUND} and is not provably prime; "
+                "name the fields with --fields"
+            )
         out.append(m)
     return out
 
@@ -330,10 +341,11 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
 
     ``fields`` lists characteristics: 0 for the rationals, a prime p for
     GF(p); the default is (0, 2, 3, 5) over the integers and the prime
-    divisors of the modulus over a modular ring; a repeated characteristic
-    counts once. Fields where the reduced levelwise sequence stops being
-    exact are skipped with a reason rather than failed — no long sequence is
-    promised there.
+    divisors of the modulus over a modular ring (a ValueError when what
+    trial division below ``_TRIAL_BOUND`` leaves of it is not provably
+    prime); a repeated characteristic counts once. Fields where the reduced
+    levelwise sequence stops being exact are skipped with a reason rather
+    than failed — no long sequence is promised there.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -41,9 +42,8 @@ def _chain_system():
     )
 
 
-def _coupled_ses():
+def _coupled_ses(ring=Ring.integers()):
     q = QuasiOrder(["x", "y", "z"], [("x", "y"), ("x", "z")])
-    ring = Ring.integers()
     two = IntMatrix([[2]])
     sub = InverseSystem(
         q, ring, {"x": 1, "y": 1, "z": 1}, {("x", "y"): two, ("x", "z"): two}
@@ -224,6 +224,38 @@ def test_les_large_prime_fields(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
 
+
+@pytest.mark.parametrize("fields", [",", ""])
+def test_les_empty_field_list_is_a_usage_error(tmp_path, capsys, fields):
+    path = str(tmp_path / "ses.json")
+    write_document(ses_to_doc(_coupled_ses()), path)
+    assert main(["les", "--ses", path, "--max-degree", "1", "--fields", fields]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--fields names no field" in captured.err
+
+
+def test_les_default_fields_of_a_large_modulus(tmp_path, capsys):
+    path = str(tmp_path / "ses.json")
+    mersenne = 2**61 - 1
+    write_document(ses_to_doc(_coupled_ses(Ring.modular(mersenne))), path)
+    start = time.perf_counter()
+    assert main(["les", "--ses", path, "--max-degree", "1", "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["fields"] == [f"GF({mersenne})"]
+    assert payload["ok"] is True
+
+    # Two primes near 2^40: no factor below the trial bound, and the
+    # product is composite, so the default fields cannot be named.
+    product = 1099511627791 * 1099511627803
+    write_document(ses_to_doc(_coupled_ses(Ring.modular(product))), path)
+    assert main(["les", "--ses", path, "--max-degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--fields" in captured.err
+
+
 def test_nerve_command(tmp_path, capsys):
     path = str(tmp_path / "cat.json")
     write_document(_monoid_category_doc(), path)
@@ -272,26 +304,30 @@ def test_cohere_trivialize(tmp_path, capsys):
     assert payload["results"]["witness"] == {"default": 0, "exceptions": []}
 
 
-def test_deep_trivialize_exits_two_without_traceback(tmp_path, capsys):
+def test_deep_trivialize_succeeds_without_recursion(tmp_path, capsys):
     # Two members on 30 columns of height about 40 (1,200 cells) with a
-    # budget above the cell count: the search descends one level per cell
-    # and runs past the recursion limit.
+    # budget above the cell count: the search descends one level per cell,
+    # past any recursion limit, and its first descent succeeds.
     tall = GridFun.make(EvcFun.of([40] * 30), 2, 0, {(0, 0): 1})
     short = GridFun.make(EvcFun.of([39] * 30), 2, 0, {})
     path = str(tmp_path / "deep.json")
     write_document(family_to_doc(FamilySpec.of(2, [tall, short])), path)
     argv = ["cohere", "trivialize", "--family", path, "--budget", "2000", "--horizon", "40"]
-    assert main(argv) == 2
+    assert main(argv + ["--json"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "recursion limit" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["results"]["witness"] == {"default": 0, "exceptions": []}
+    assert payload["stats"]["assignments tried"] == 1200
 
 
 @pytest.mark.parametrize(
     "exc, says",
-    [(MemoryError(), "out of memory"), (KeyError("x"), "missing key 'x'")],
+    [
+        (MemoryError(), "out of memory"),
+        (KeyError("x"), "missing key 'x'"),
+        (RecursionError(), "recursion limit"),
+    ],
 )
 def test_resource_errors_exit_two_with_one_line(tmp_path, capsys, monkeypatch, exc, says):
     def boom(path):

@@ -257,6 +257,66 @@ def test_trivialize_matches_flat_enumeration():
         assert rep.space == 2 ** len(cells)
 
 
+def _reference_search(family, budget):
+    """The plain recursive lexicographic search: the least witness as a
+    value per union cell (or None) and the number of assignments tried."""
+    k = family.modulus
+    cells = sorted({c for f, _ in family.members for c in f.cells()})
+    index = {c: t for t, c in enumerate(cells)}
+    wants = [[] for _ in cells]
+    for m, (f, phi) in enumerate(family.members):
+        for c in f.cells():
+            wants[index[c]].append((m, phi.value(c)))
+    misses = [0] * len(family.members)
+    assignment = [0] * len(cells)
+    explored = 0
+
+    def search(t):
+        nonlocal explored
+        if t == len(cells):
+            return True
+        for v in range(k):
+            explored += 1
+            assignment[t] = v
+            failed_at = None
+            for pos, (m, want) in enumerate(wants[t]):
+                if v != want:
+                    misses[m] += 1
+                    if misses[m] > budget:
+                        failed_at = pos
+                        break
+            if failed_at is None:
+                if search(t + 1):
+                    return True
+                undo = len(wants[t])
+            else:
+                undo = failed_at + 1
+            for m, want in wants[t][:undo]:
+                if v != want:
+                    misses[m] -= 1
+        return False
+
+    return (tuple(assignment) if search(0) else None), explored
+
+
+def test_trivialize_memo_matches_the_plain_search():
+    # The memo of failed miss vectors must change neither the witness nor
+    # the count of assignments the plain search tries.
+    rng = random.Random(409)
+    for _ in range(2000):
+        k = rng.choice((2, 3))
+        fam = random_family(
+            rng, max_members=5, modulus=k, defaults=tuple(range(k)),
+            max_exceptions=4, tails=(0,),
+        )
+        budget = rng.randint(0, 4)
+        rep = trivialize_report(fam, budget, horizon=9)
+        witness, explored = _reference_search(fam, budget)
+        got = None if rep.found is None else tuple(rep.found.value(c) for c in rep.cells)
+        assert got == witness
+        assert rep.explored == explored
+
+
 def test_trivialize_budget_zero_iff_exact_gluing():
     rng = random.Random(408)
     for _ in range(40):
