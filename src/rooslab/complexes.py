@@ -13,15 +13,24 @@ leading action and the face labels of one block); ``build_complex`` and
 ``category.nerve_complex`` only enumerate blocks and name their faces.
 
 ``limit_complex`` is the route every derived-limit computation takes. It
-validates the system it is given, collapses each equivalence class of the
-index to one representative (every element is isomorphic to its
-representative), and builds the normalized complex on the resulting partial
-order: strictly increasing tuples only, the non-degenerate simplices of the
-nerve. Normalized cochains have the same cohomology as all cochains (Roos;
-C. U. Jensen, LNM 254, 1972), and the normalized complex is far smaller.
-``build_complex`` with its default ``strict=False`` keeps the degenerate
-tuples (repeated entries) on any quasi-order; it is the independent oracle
-route the tests compare against, and the complex ``contract`` needs.
+validates the system it is given and restricts it to the homotopy-final
+core of the index (``systems.core_elements``): each equivalence class is
+collapsed to one representative, every element being isomorphic to its
+representative, and then up beat points, elements whose strict up-set has
+a least element, are removed, which leaves lim^n unchanged in every degree.
+An index with a maximum shrinks to one point. On that partial order it
+builds the normalized complex: strictly increasing tuples only, the
+non-degenerate simplices of the nerve. Normalized cochains have the same
+cohomology as all cochains (Roos; C. U. Jensen, LNM 254, 1972), and the
+normalized complex is far smaller. ``build_complex`` with its default
+``strict=False`` keeps the degenerate tuples (repeated entries) on any
+quasi-order; on the system as given it is the independent oracle route the
+tests compare against, and the complex ``contract`` needs.
+
+Over Z, ``RoosComplex.cohomology`` reads H^n from the invariant factors of
+d_n and d_{n+1}, which the complex computes once per differential and
+keeps, so reading several degrees reduces each differential once. Over Z/m
+it goes through ``cohomology_at``, which also stays the public oracle.
 
 Degree -1 is the zero module, so the degree-0 differential is a matrix with
 zero columns, and cohomology in degree 0 is the kernel of the degree-1
@@ -31,10 +40,10 @@ the same kernel from the equalizer description as an independent route.
 
 from __future__ import annotations
 
-from .linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
+from .linalg import GroupInvariants, IntMatrix, Ring, cohomology_at, invariant_factors
 from .orders import QuasiOrder, chains, face
 from .systems import InvalidSystemError  # noqa: F401  (importable from here too)
-from .systems import InverseSystem, collapse_equivalences, require_functorial
+from .systems import InverseSystem, core_elements, require_functorial
 
 
 class IndexNotDominatingError(ValueError):
@@ -54,11 +63,13 @@ class RoosComplex:
     matrix of the differential from degree n-1 into degree n, with
     ``diffs[0]`` a zero-column matrix. The complex identity (consecutive
     differentials compose to zero over the ring) is verified at construction.
+    Over Z, the invariant factors of each differential are computed on the
+    first ``cohomology`` call that needs them and kept (``_factors``).
     """
 
     __slots__ = (
         "ring", "n_max", "blocks", "block_ranks", "offsets", "total_ranks", "diffs",
-        "strict", "system", "_positions",
+        "strict", "system", "_positions", "_factors",
     )
 
     def __init__(self, ring: Ring, blocks, block_ranks, faces, strict: bool = False, system=None):
@@ -111,6 +122,7 @@ class RoosComplex:
         object.__setattr__(self, "strict", strict)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "_positions", tuple(positions))
+        object.__setattr__(self, "_factors", [None] * (n_max + 1))
 
     def __setattr__(self, *_):
         raise AttributeError("RoosComplex is immutable")
@@ -129,12 +141,27 @@ class RoosComplex:
         except KeyError:
             raise ValueError(f"no block {label!r} in degree {n}") from None
 
+    def _invariant_factors(self, n: int) -> list:
+        factors = self._factors[n]
+        if factors is None:
+            factors = self._factors[n] = invariant_factors(self.diffs[n])
+        return factors
+
     def cohomology(self, n: int) -> GroupInvariants:
+        """H^n = ker d_{n+1} / im d_n. Over Z this is the formula of
+        ``cohomology_at`` on the kept invariant factors, without its check
+        that d_{n+1} d_n vanishes: construction checked that already."""
         if not 0 <= n <= self.n_max - 1:
             raise ValueError(
                 f"cohomology in degree {n} needs the complex built to degree {n + 1}"
             )
-        return cohomology_at(self.diffs[n], self.diffs[n + 1], self.ring)
+        if not self.ring.is_integers:
+            return cohomology_at(self.diffs[n], self.diffs[n + 1], self.ring)
+        d_in = self._invariant_factors(n)
+        rank_out = len(self._invariant_factors(n + 1))
+        return GroupInvariants(
+            self.total_ranks[n] - rank_out - len(d_in), tuple(d for d in d_in if d >= 2)
+        )
 
 
 def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosComplex:
@@ -156,17 +183,21 @@ def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosCom
 def limit_complex(s: InverseSystem, n_max: int, degenerate: bool = False) -> RoosComplex:
     """The complex whose cohomology in degrees 0..n_max-1 is lim^n of s.
 
-    Validates s once, before anything else: collapsing keeps one element
-    per equivalence class, so it would hide a bad bond between equivalent
-    elements. Then collapses equivalences and builds the normalized
-    (strict-tuple) complex to n_max. With ``degenerate`` it builds the
-    degenerate-tuple complex of s itself instead, with no collapse: the
+    Validates s once, before anything else: the core keeps one element per
+    equivalence class and drops up beat points, so it would hide a bad bond
+    at an element it leaves out. Then restricts s once to the core of its
+    index (``core_elements``) and builds the normalized (strict-tuple)
+    complex to n_max there. With ``degenerate`` it builds the
+    degenerate-tuple complex of s itself instead, on the whole index: the
     oracle route.
     """
     require_functorial(s)
     if degenerate:
         return build_complex(s, n_max)
-    return build_complex(collapse_equivalences(s), n_max, strict=True)
+    keep = core_elements(s.index)
+    if len(keep) < len(s.index):
+        s = s.restrict(keep)
+    return build_complex(s, n_max, strict=True)
 
 
 def derived_limit(s: InverseSystem, n: int, degenerate: bool = False) -> GroupInvariants:

@@ -19,13 +19,14 @@ standard basis class. The two connecting-map lifts are multi-column solves:
 the echelon form of the lifting map with the right-hand sides riding along
 as extra columns.
 
-Equivalence classes of the index are collapsed to representatives first
-(every element is isomorphic to its representative, so derived limits are
-untouched — a reduction the test suite checks on random systems), and the
-three complexes are the normalized (strict-tuple) ones on the resulting
-partial order. The levelwise maps commute with every face, so they are
-cochain maps of the normalized complexes too, and the groups agree with the
-degenerate-tuple oracle (tested on random sequences).
+All three systems and both levelwise maps are first restricted to the
+homotopy-final core of the index (``systems.core_elements``: equivalence
+classes collapsed to representatives, then up beat points removed), which
+leaves every derived limit and every map of the long sequence unchanged, a
+reduction the test suite checks against the collapsed index and the
+degenerate-tuple oracle. The three complexes are the normalized
+(strict-tuple) ones on that partial order. The levelwise maps commute with
+every face, so they are cochain maps of the normalized complexes too.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import chain
 
 from .complexes import RoosComplex, build_complex
 from .linalg import IntMatrix, Ring
-from .systems import SystemSES, validate_ses
+from .systems import SystemSES, core_elements, validate_ses
 
 # Miller-Rabin with the primes up to 41 as bases decides primality for every
 # n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -353,18 +354,18 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
     if not rep.ok:
         raise ValueError(f"not a levelwise short exact sequence: {rep.violations[:3]}")
     ring = e.mid.ring
-    reps = [cls[0] for cls in e.mid.index.equivalence_classes()]
-    if len(reps) < len(e.mid.index):
+    keep = core_elements(e.mid.index)
+    if len(keep) < len(e.mid.index):
         e = SystemSES(
-            sub=e.sub.restrict(reps),
-            mid=e.mid.restrict(reps),
-            quot=e.quot.restrict(reps),
-            inject={r: e.inject[r] for r in reps},
-            project={r: e.project[r] for r in reps},
+            sub=e.sub.restrict(keep),
+            mid=e.mid.restrict(keep),
+            quot=e.quot.restrict(keep),
+            inject={r: e.inject[r] for r in keep},
+            project={r: e.project[r] for r in keep},
         )
-    # validate_ses checked all three systems before the collapse; their
+    # validate_ses checked all three systems on the whole index; their
     # restrictions inherit the verdict, so build_complex only looks it up.
-    # The collapsed index is a partial order: normalized complexes.
+    # The core is a partial order: normalized complexes.
     cx_sub = build_complex(e.sub, n_max + 2, strict=True)
     cx_mid = build_complex(e.mid, n_max + 1, strict=True)
     cx_quot = build_complex(e.quot, n_max + 1, strict=True)

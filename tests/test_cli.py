@@ -6,9 +6,12 @@ import time
 
 import pytest
 
+import rooslab.cli
+import rooslab.complexes
+import rooslab.linalg
 from rooslab.cli import main
 from rooslab.coherence import EvcFun, FamilySpec, GridFun
-from rooslab.gen import random_tree_instance
+from rooslab.gen import random_system, random_tree_instance
 from rooslab.io import (
     write_document,
     category_to_doc,
@@ -159,6 +162,52 @@ def test_verify_directed_system(tmp_path, capsys, monkeypatch):
     assert all(v["ok"] for v in payload["verdicts"])
     assert payload["results"]["lim^0"] == "Z^1"
     assert payload["results"]["lim^1"] == "0"
+
+
+def test_verify_factors_each_differential_at_most_once(tmp_path, capsys, monkeypatch):
+    # Every complex verify builds is recorded, and so is every matrix passed
+    # to invariant_factors, by identity (the matrices are kept alive, so no
+    # id is reused): no differential may be reduced twice, and over Z each
+    # one the groups need is reduced through the complex's own kept factors.
+    built, factored = [], []
+
+    def keeping_result(fn):
+        def wrapper(*args, **kwargs):
+            built.append(fn(*args, **kwargs))
+            return built[-1]
+        return wrapper
+
+    def keeping_argument(fn):
+        def wrapper(m):
+            factored.append(m)
+            return fn(m)
+        return wrapper
+
+    for module, name, keeping in (
+        (rooslab.cli, "limit_complex", keeping_result),
+        (rooslab.cli, "build_complex", keeping_result),
+        (rooslab.complexes, "invariant_factors", keeping_argument),
+        (rooslab.linalg, "invariant_factors", keeping_argument),
+    ):
+        monkeypatch.setattr(module, name, keeping(getattr(module, name)))
+    monkeypatch.setenv("ROOSLAB_SEED", "3")
+    rng = random.Random(1212)
+    systems = [_cospan_system(), _chain_system()]
+    systems += [random_system(rng, ring=Ring.integers(), max_elements=4, ensure_max=True)
+                for _ in range(3)]
+    for i, system in enumerate(systems):
+        path = str(tmp_path / f"sys{i}.json")
+        write_system(system, path)
+        built.clear()
+        factored.clear()
+        assert main(["verify", "--system", path, "--max-degree", "3", "--json"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1 + 3 * system.index.is_directed()
+        times = {}
+        for m in factored:
+            times[id(m)] = times.get(id(m), 0) + 1
+        for cx in built:
+            assert all(times.get(id(d), 0) == 1 for d in cx.diffs), i
 
 
 def test_verify_skips_restriction_without_direction(tmp_path, capsys):

@@ -24,8 +24,15 @@ from rooslab.gen import (
     random_system,
 )
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
-from rooslab.orders import QuasiOrder
-from rooslab.systems import InverseSystem, collapse_equivalences, validate_system
+from rooslab.orders import QuasiOrder, chains
+from rooslab.systems import (
+    InverseSystem,
+    TruncationSpec,
+    collapse_equivalences,
+    core_elements,
+    truncated_A,
+    validate_system,
+)
 
 
 def _one_point(ring=Ring.integers()):
@@ -226,7 +233,9 @@ def test_strict_variant_matches_on_partial_orders():
             assert derived_limit(s, n) == derived_limit(s, n, degenerate=True)
 
 
-def test_limit_complex_is_normalized_on_the_collapsed_index():
+def test_limit_complex_is_normalized_on_the_core():
+    # a and b collapse to a; then a, whose strict up-set is {t}, is an up
+    # beat point, and the core is the one point t.
     q = QuasiOrder(["a", "b", "t"], [("a", "b"), ("b", "a"), ("a", "t")])
     ident = IntMatrix([[1]])
     s = InverseSystem(
@@ -237,13 +246,96 @@ def test_limit_complex_is_normalized_on_the_collapsed_index():
     )
     cx = limit_complex(s, 2)
     assert cx.strict
-    assert cx.blocks[1] == (("a", "t"),)
+    assert cx.system.index.elements == ("t",)
+    assert cx.blocks[0] == (("t",),)
+    assert cx.blocks[1] == ()
     assert cx.blocks[2] == ()
     oracle = limit_complex(s, 2, degenerate=True)
     assert not oracle.strict
     assert oracle.dimension(1) == 7 > cx.dimension(1)
     for n in range(2):
         assert cx.cohomology(n) == oracle.cohomology(n)
+
+
+def _degenerate_dimension(s, n=4):
+    return sum(s.rank(t[0]) for t in chains(s.index, n))
+
+
+def _unimodular(rng, n):
+    """A random unimodular integer matrix and its inverse."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    if n and rng.random() < 0.5:
+        k = rng.randrange(n)
+        u[k] = [-a for a in u[k]]
+        for row in inv:
+            row[k] = -row[k]
+    return IntMatrix(u, n), IntMatrix(inv, n)
+
+
+def _conjugated(rng, s):
+    """An isomorphic system: bond(a, b) becomes U_a^-1 bond(a, b) U_b with a
+    separate random unimodular U_e at every element, so the bonds are no
+    longer the generator's level-uniform ones."""
+    us = {e: _unimodular(rng, s.rank(e)) for e in s.index.elements}
+    bonds = {(a, b): us[a][1] @ m @ us[b][0] for (a, b), m in s.bonds().items() if a != b}
+    return InverseSystem(s.index, s.ring, dict(s.ranks), bonds)
+
+
+def _grid_family(rng, ring):
+    columns = rng.randint(1, 3)
+    family = [tuple(rng.randint(0, 2) for _ in range(columns)) for _ in range(rng.randint(2, 5))]
+    return truncated_A(TruncationSpec(columns, tuple(family), ring))
+
+
+def _crown_family(rng, ring):
+    """Two incomparable functions below two incomparable ones, all four with
+    the cell (0, 0), plus random extra members. lim^n is the sum over cells
+    x of the nerve cohomology of the members containing x, and for (0, 0)
+    without extras that is a circle, so lim^1 is often nonzero."""
+    family = [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 1, 1, 1, 0), (1, 1, 1, 0, 1)]
+    family += [tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(rng.randint(0, 2))]
+    return truncated_A(TruncationSpec(5, tuple(family), ring))
+
+
+def test_core_route_matches_the_degenerate_oracle():
+    # lim^0..3 on the core against the degenerate complex of the system as
+    # given. Gate systems alone are a weak test: their bonds depend only on
+    # the level, so grid truncations and conjugated systems are added. The
+    # degenerate degree-4 dimension is capped at 300 to keep the oracle cheap.
+    rng = random.Random(88001)
+    systems = []
+    while len(systems) < 100:
+        s = random_system(rng, max_rank=3, lo=-3, hi=3, ensure_max=len(systems) % 2 == 1)
+        if _degenerate_dimension(s) <= 300:
+            systems.append(s)
+    for ring in (Ring.integers(), Ring.modular(2), Ring.modular(3)):
+        for make, count in ((_grid_family, 30), (_crown_family, 8)):
+            for _ in range(count):
+                s = make(rng, ring)
+                if _degenerate_dimension(s) <= 300:
+                    systems.append(s)
+    for partial in (False, True):
+        for _ in range(50):
+            index = random_quasi_order(rng, 6 if partial else 5, partial=partial)
+            s = random_system(rng, index=index, max_rank=2 if partial else 3, lo=-3, hi=3)
+            if _degenerate_dimension(s) <= 300:
+                systems.append(_conjugated(rng, s))
+    shrunk = nontrivial = 0
+    for s in systems:
+        core = limit_complex(s, 4)
+        oracle = limit_complex(s, 4, degenerate=True)
+        groups = [core.cohomology(n) for n in range(4)]
+        assert groups == [oracle.cohomology(n) for n in range(4)], s
+        shrunk += len(core_elements(s.index)) < len(collapse_equivalences(s).index)
+        nontrivial += any(not g.is_trivial for g in groups[1:])
+    assert shrunk >= 150 and nontrivial >= 30
 
 
 def test_invalid_bonds_between_equivalent_elements_are_rejected():
@@ -333,6 +425,27 @@ def test_contraction_identity_random():
         sign = (-1) ** (u.degree + 1)
         rhs = contract(delta(u), top) - u.scale(sign)
         assert lhs.vector == rhs.vector
+
+
+def test_kept_invariant_factors_match_cohomology_at():
+    # Over Z, cohomology(n) reads invariant factors kept per differential;
+    # cohomology_at, which reduces both maps afresh, is the oracle. Degrees
+    # are read in a random order, so the kept factors are reused both ways.
+    rng = random.Random(4242)
+    positive = torsion = 0
+    for i in range(80):
+        partial = i % 2 == 0
+        index = random_quasi_order(rng, 5, partial=partial)
+        s = random_system(rng, index=index, ring=Ring.integers(), max_rank=2 if partial else 3)
+        for cx in (limit_complex(s, 4), build_complex(s, 3)):
+            degrees = list(range(cx.n_max))
+            rng.shuffle(degrees)
+            for n in degrees + degrees:
+                group = cx.cohomology(n)
+                assert group == cohomology_at(cx.differential(n), cx.differential(n + 1), s.ring)
+                positive += n > 0 and not group.is_trivial
+                torsion += bool(group.torsion)
+    assert positive >= 20 and torsion >= 8
 
 
 def test_cohomology_needs_depth():

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+import rooslab.les
 from rooslab.complexes import derived_limit
 from rooslab.gen import random_ses
 from rooslab.les import Field, _rank, _solve, _sparse_rows, les_of_ses
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors, solve
 from rooslab.orders import QuasiOrder
-from rooslab.systems import InverseSystem, SystemSES, validate_ses
+from rooslab.systems import InverseSystem, SystemSES, core_elements, validate_ses
 
 
 def _constant(q, ring, rank):
@@ -173,6 +174,36 @@ def test_collapses_equivalent_indices():
     assert rep.ok
     assert rep.groups[("sub", 0)] == GroupInvariants.free(1)
     assert rep.groups[("sub", 1)].is_trivial
+
+
+def test_core_route_matches_the_collapsed_route(monkeypatch):
+    # les_of_ses restricts everything to the core of the middle index. With
+    # core_elements swapped for the plain collapse it builds on the collapsed
+    # index instead; groups and every position's detail must be identical.
+    def collapsed(index):
+        return [cls[0] for cls in index.equivalence_classes()]
+
+    rng = random.Random(7077)
+    sequences = [_coupled_two_level_ses(rng) for _ in range(30)]
+    sequences += [random_ses(rng, split=i % 2 == 0) for i in range(12)]
+    shrunk = connecting = 0
+    for e in sequences:
+        core = les_of_ses(e, 1)
+        with monkeypatch.context() as m:
+            m.setattr(rooslab.les, "core_elements", collapsed)
+            plain = les_of_ses(e, 1)
+        assert core.ok and plain.ok
+        assert core.groups == plain.groups
+        assert core.fields == plain.fields
+        assert [(p.field, p.degree, p.at, p.detail) for p in core.positions] == [
+            (p.field, p.degree, p.at, p.detail) for p in plain.positions
+        ]
+        shrunk += len(core_elements(e.mid.index)) < len(collapsed(e.mid.index))
+        # At "quot" the outgoing map is the connecting map.
+        connecting += any(
+            p.at == "quot" and "rank(out)=0" not in p.detail for p in core.positions
+        )
+    assert shrunk >= 10 and connecting >= 3
 
 
 def test_random_split_ses():

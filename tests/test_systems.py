@@ -12,6 +12,7 @@ from rooslab.systems import (
     InverseSystem,
     SystemSES,
     TruncationSpec,
+    core_elements,
     grid_cells,
     surjective_bonds,
     truncated_A,
@@ -70,6 +71,83 @@ def test_composition_mismatch_reported():
     rep = validate_system(s)
     assert not rep.ok
     assert ("a", "b", "c") in rep.violations
+
+
+def _all_triples_violations(s):
+    """validate_system's loop as it was before it skipped the triples with
+    lam == mu or mu == nu: every related triple, composed and compared."""
+    out = []
+    elems = s.index.elements
+    for lam in elems:
+        for mu in elems:
+            if not s.index.leq(lam, mu):
+                continue
+            for nu in elems:
+                if s.index.leq(mu, nu):
+                    left = s.bond(lam, mu) @ s.bond(mu, nu)
+                    if not s.ring.matrices_equal(left, s.bond(lam, nu)):
+                        out.append((lam, mu, nu))
+    return tuple(out)
+
+
+def test_validate_system_skips_only_triples_that_hold_by_construction():
+    # Random systems, quasi-orders included, with some declared off-diagonal
+    # bonds replaced by random matrices: the violations must be exactly the
+    # full triple loop's, in the same order. Triples (lam, mu, lam) through
+    # an equivalent mu have no repeated middle end and must still be caught.
+    rng = random.Random(90210)
+    corrupted = returning = 0
+    for _ in range(150):
+        s = random_system(rng, max_elements=5, ensure_max=rng.random() < 0.5)
+        bonds = {p: m for p, m in s.bonds().items() if p[0] != p[1]}
+        for pair in rng.sample(sorted(bonds, key=repr), min(len(bonds), rng.randint(1, 3))):
+            r, c = bonds[pair].shape
+            bonds[pair] = IntMatrix([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)], c)
+        t = InverseSystem(s.index, s.ring, dict(s.ranks), bonds)
+        want = _all_triples_violations(t)
+        assert validate_system(t).violations == want
+        corrupted += bool(want)
+        returning += any(lam == nu for lam, _, nu in want)
+    assert corrupted >= 40 and returning >= 10
+
+
+def _chain(n):
+    labels = [f"t{i:02d}" for i in range(n)]
+    return QuasiOrder(labels, list(zip(labels, labels[1:])))
+
+
+def test_core_of_an_index_with_a_maximum_is_one_point():
+    assert core_elements(_chain(12)) == ["t11"]
+    rng = random.Random(6000)
+    for _ in range(40):
+        q = random_quasi_order(rng, ensure_max=True)
+        assert core_elements(q) == [q.maximum()]
+
+
+def test_core_keeps_the_cospan_and_drops_up_beat_points():
+    cospan = QuasiOrder(["x", "y", "z"], [("x", "y"), ("x", "z")])
+    assert core_elements(cospan) == ["x", "y", "z"]
+    # Equivalent elements collapse to the first of their class; then w,
+    # with the single element y above it, is an up beat point.
+    q = QuasiOrder(["u", "x", "v", "w", "y", "z"],
+                   [("u", "x"), ("x", "v"), ("v", "u"), ("u", "y"), ("u", "z"), ("w", "y")])
+    assert core_elements(q) == ["u", "y", "z"]
+
+
+def test_core_is_idempotent_and_deterministic():
+    rng = random.Random(6001)
+    beats = 0
+    for _ in range(80):
+        q = random_quasi_order(rng, 6)
+        keep = core_elements(q)
+        again = QuasiOrder(q.elements, q.related_pairs())
+        assert core_elements(again) == keep == core_elements(q)
+        assert all(q.position(a) < q.position(b) for a, b in zip(keep, keep[1:]))
+        core = q.restrict(keep)
+        assert core.is_partial()
+        assert core_elements(core) == keep
+        beats += len(keep) < len(q.equivalence_classes())
+    assert beats >= 30
 
 
 def test_missing_bond_derived_by_composition():
