@@ -94,11 +94,25 @@ class Report:
         return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    """Print and flush; a reader that closed early (``rooslab ... | head -1``)
+    is no error, and what it read stands."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # what is left in the buffer stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report: Report, args) -> int:
     if args.json:
-        print(json.dumps(report.payload(), indent=2, sort_keys=True))
+        _print(json.dumps(report.payload(), indent=2, sort_keys=True))
     else:
-        print(report.render_text())
+        _print(report.render_text())
     return 0 if report.ok else 1
 
 
@@ -258,15 +272,23 @@ def _budget(text: str):
     return value
 
 
-def _degree(text: str) -> int:
-    """A nonnegative degree, so a negative one is a usage error naming its flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"degree is a natural number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"degree must be at least 0, got {value}")
-    return value
+def _natural(what: str):
+    """The argparse type of a nonnegative ``what``, so a negative value is a
+    usage error naming its flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} is a natural number, got {text!r}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 0, got {value}")
+        return value
+
+    return parse
+
+
+_degree = _natural("degree")
 
 
 def _cmd_cohere_check(args) -> int:
@@ -396,8 +418,7 @@ def _cmd_make_a(args) -> int:
         raise DocumentError(str(err))
     doc = {"note": TRUNCATION_NOTE}
     doc.update(system_to_doc(system))
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
+    _print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         write_document(doc, args.out)
     return 0
@@ -430,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="verification suite on a system")
     p.add_argument("--system", required=True)
     p.add_argument("--max-degree", type=_degree, default=3)
-    p.add_argument("--spot-checks", type=int, default=3)
+    p.add_argument("--spot-checks", type=_natural("spot-check count"), default=3)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("les", parents=[common], help="long exact sequence of a levelwise SES")

@@ -19,6 +19,13 @@ standard basis class. The two connecting-map lifts are multi-column solves:
 the echelon form of the lifting map with the right-hand sides riding along
 as extra columns.
 
+Each induced map (f_n into the middle, g_n onto the quotient, and the
+connecting map) is the out-map at one position and the in-map at the next;
+it is ranked once per field and its rank read at both. Zero spaces cost no
+elimination: an echelon form of no rows, a solve with no right-hand sides
+and the cohomology of a zero-dimensional space return at once. On a
+one-point core every cochain space above degree 0 is zero.
+
 All three systems and both levelwise maps are first restricted to the
 homotopy-final core of the index (``systems.core_elements``: equivalence
 classes collapsed to representatives, then up beat points removed), which
@@ -116,7 +123,12 @@ def _sparse_rows(m: IntMatrix) -> list[dict]:
 
 
 def _sparse_cols(m: IntMatrix) -> list[dict]:
-    return _sparse_rows(m.transpose())
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
 
 
 def _axpy(field: Field, target: dict, c, source: dict) -> None:
@@ -163,6 +175,8 @@ def _echelon(field: Field, rows, width) -> tuple[dict, list]:
     other pivot column, and the nonzero rows left with no entry below
     ``width``.
     """
+    if not rows:
+        return {}, []
     norm = field.norm
     rows = [{j: y for j, x in row.items() if (y := norm(x))} for row in rows]
     pivots = {}
@@ -189,6 +203,8 @@ def _rank(field: Field, vectors) -> int:
 def _solve(field: Field, rows: list, width: int, rhs: list, what: str) -> list:
     """Solutions x_k of A x_k = rhs[k], free coordinates zero, for the matrix
     A with sparse ``rows`` and ``width`` columns."""
+    if not rhs:
+        return []
     augmented = [dict(row) for row in rows]
     for k, b in enumerate(rhs):
         for i, x in b.items():
@@ -215,6 +231,10 @@ class _Cohomology:
     __slots__ = ("field", "basis", "_out", "_relations", "_position")
 
     def __init__(self, field: Field, d_out_rows: list, d_in_cols: list, ambient: int):
+        self.field = field
+        if not ambient:
+            self.basis, self._out, self._relations, self._position = [], {}, {}, {}
+            return
         out = _echelon(field, d_out_rows, ambient)[0]
         coboundaries = [
             {j: x for j, x in col.items() if j not in out} for col in d_in_cols
@@ -222,7 +242,6 @@ class _Cohomology:
         relations = _echelon(field, coboundaries, ambient)[0]
         classes = [j for j in range(ambient) if j not in out and j not in relations]
         norm = field.norm
-        self.field = field
         self.basis = [
             {q: 1, **{p: norm(-row[q]) for p, row in out.items() if q in row}}
             for q in classes
@@ -320,14 +339,13 @@ def _levelwise_field_reason(e: SystemSES, field: Field) -> str | None:
     return None
 
 
-def _check_position(field, degree, at, dim, in_map: list, out_map: list):
+def _check_position(field, degree, at, dim, in_map: list, out_map: list, ri: int, ro: int):
     """Exactness at one position; each map is the list of its columns, the
-    classes of the images of its source basis."""
+    classes of the images of its source basis, and ``ri`` and ``ro`` are
+    the ranks of the in-map and the out-map."""
     problems = []
     if any(_combine(field, out_map, col) for col in in_map):
         problems.append("composite nonzero")
-    ri = _rank(field, in_map)
-    ro = _rank(field, out_map)
     if ri + ro != dim:
         problems.append("rank gap")
     detail = f"rank(in)={ri} rank(out)={ro} dim={dim}"
@@ -421,7 +439,7 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
                 h[part, n] = _Cohomology(
                     field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
                 )
-        d_prev = []
+        d_prev, rd_prev = [], 0
         for n in range(n_max + 1):
             f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
             g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
@@ -440,10 +458,13 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             if any(_combine(field, diff_cols["sub"][n + 2], v) for v in images):
                 raise ArithmeticError("connecting image is not a cocycle")
             d = [h["sub", n + 1].coords(v) for v in images]
-            positions.append(_check_position(field, n, "sub", h["sub", n].dim, d_prev, f))
-            positions.append(_check_position(field, n, "mid", h["mid", n].dim, f, g))
-            positions.append(_check_position(field, n, "quot", h["quot", n].dim, g, d))
-            d_prev = d
+            rf, rg, rd = _rank(field, f), _rank(field, g), _rank(field, d)
+            positions += (
+                _check_position(field, n, "sub", h["sub", n].dim, d_prev, f, rd_prev, rf),
+                _check_position(field, n, "mid", h["mid", n].dim, f, g, rf, rg),
+                _check_position(field, n, "quot", h["quot", n].dim, g, d, rg, rd),
+            )
+            d_prev, rd_prev = d, rd
     return LesReport(
         ring=ring,
         n_max=n_max,

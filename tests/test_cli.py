@@ -1,7 +1,10 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -242,6 +245,35 @@ def test_les_command(tmp_path, capsys):
     assert payload["results"]["fields"] == ["GF(2)"]
     assert all(v["name"].startswith("GF(2)") for v in payload["verdicts"])
 
+
+def test_closed_pipe_prints_no_traceback(tmp_path):
+    # A reader that stops early, as `rooslab les ... | head -1` does: here it
+    # closes its end before rooslab writes, so every write meets a closed
+    # pipe. The report's status stands and stderr stays empty.
+    path = str(tmp_path / "ses.json")
+    write_document(ses_to_doc(_coupled_ses()), path)
+    out = tmp_path / "a.json"
+    src = os.path.dirname(os.path.dirname(rooslab.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (
+        ["les", "--ses", path, "--max-degree", "3"],
+        ["les", "--ses", path, "--max-degree", "3", "--json"],
+        ["make-a", "--functions", "2,1;1,2", "--out", str(out)],
+    ):
+        read_end, write_end = os.pipe()
+        with subprocess.Popen(
+            [sys.executable, "-m", "rooslab.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            os.close(write_end)
+            os.close(read_end)
+            _, err = proc.communicate(timeout=60)
+        assert err.decode() == "", argv
+        assert proc.returncode == 0, argv
+    # make-a still writes its document after the failed print.
+    assert json.loads(out.read_text())["note"] == TRUNCATION_NOTE
 
 
 def test_les_fields_drop_repeats(tmp_path, capsys):
@@ -524,6 +556,8 @@ def test_negative_degrees_are_usage_errors(tmp_path, capsys):
         (["les", "--ses", ses, "--max-degree", "-1"], "--max-degree"),
         (["nerve", "--category", category, "--object", "o0", "--max-degree", "-1"],
          "--max-degree"),
+        # A count, not a degree, but refused the same way.
+        (["verify", "--system", system, "--spot-checks", "-3"], "--spot-checks"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,26 @@
 """Long exact sequence verification over rational and prime fields."""
 
+import itertools
 import random
 
 import pytest
 
 import rooslab.les
-from rooslab.complexes import derived_limit
+from rooslab.complexes import build_complex, derived_limit
 from rooslab.gen import random_ses
-from rooslab.les import Field, _rank, _solve, _sparse_rows, les_of_ses
+from rooslab.les import (
+    Field,
+    _axpy,
+    _combine,
+    _echelon,
+    _levelwise_field_reason,
+    _levelwise_matrix,
+    _prime_divisors,
+    _rank,
+    _solve,
+    _sparse_rows,
+    les_of_ses,
+)
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors, solve
 from rooslab.orders import QuasiOrder
 from rooslab.systems import InverseSystem, SystemSES, core_elements, validate_ses
@@ -62,7 +75,7 @@ def _block(rng, rows, cols):
     return IntMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols)
 
 
-def _coupled_two_level_ses(rng):
+def _coupled_two_level_ses(rng, ring=Ring.integers()):
     """A coupled sequence on a random order of height one, where any bonds
     are functorial: middle bonds are [[s, c], [0, t]] with random sub bond s,
     quotient bond t and coupling c, and the connecting maps are often
@@ -71,7 +84,6 @@ def _coupled_two_level_ses(rng):
     highs = [f"y{j}" for j in range(rng.randint(2, 3))]
     pairs = [(a, b) for a in lows for b in highs if rng.random() < 0.7]
     q = QuasiOrder(lows + highs, pairs)
-    ring = Ring.integers()
     r_sub = {e: rng.randint(1, 2) for e in q.elements}
     r_quot = {e: rng.randint(1, 2) for e in q.elements}
     r_mid = {e: r_sub[e] + r_quot[e] for e in q.elements}
@@ -375,3 +387,176 @@ def test_echelon_agrees_with_integer_oracles():
             dense = [x.get(j, 0) for j in range(ncols)]
             assert all((u - w) % p == 0 for u, w in zip(m.matvec(dense), b))
     assert unsolvable > 20
+
+
+class _ReferenceCohomology:
+    """H^n over a field by two eliminations, whatever the dimension."""
+
+    def __init__(self, field, d_out_rows, d_in_cols, ambient):
+        out = _echelon(field, d_out_rows, ambient)[0]
+        coboundaries = [{j: x for j, x in col.items() if j not in out} for col in d_in_cols]
+        relations = _echelon(field, coboundaries, ambient)[0]
+        classes = [j for j in range(ambient) if j not in out and j not in relations]
+        self.field = field
+        self.basis = [
+            {q: 1, **{p: field.norm(-row[q]) for p, row in out.items() if q in row}}
+            for q in classes
+        ]
+        self.dim = len(self.basis)
+        self._out = out
+        self._relations = relations
+        self._position = {q: k for k, q in enumerate(classes)}
+
+    def coords(self, cocycle):
+        w = {j: x for j, x in cocycle.items() if j not in self._out}
+        for j, row in self._relations.items():
+            if j in w:
+                _axpy(self.field, w, -w[j], row)
+        return {self._position[j]: x for j, x in w.items()}
+
+
+def _reference_position(field, degree, at, dim, in_map, out_map):
+    problems = []
+    if any(_combine(field, out_map, col) for col in in_map):
+        problems.append("composite nonzero")
+    ri = _rank(field, in_map)
+    ro = _rank(field, out_map)
+    if ri + ro != dim:
+        problems.append("rank gap")
+    detail = f"rank(in)={ri} rank(out)={ro} dim={dim}"
+    if problems:
+        detail += " [" + ", ".join(problems) + "]"
+    return (field.render(), degree, at, not problems, detail)
+
+
+def _reference_field_loop(e, n_max, fields=None):
+    """(fields, skipped, positions) of les_of_ses by the plain field loop:
+    columns read from transposed matrices, every cohomology eliminated
+    whatever its dimension, and both maps ranked again at every position."""
+    keep = core_elements(e.mid.index)
+    e = SystemSES(
+        sub=e.sub.restrict(keep),
+        mid=e.mid.restrict(keep),
+        quot=e.quot.restrict(keep),
+        inject={r: e.inject[r] for r in keep},
+        project={r: e.project[r] for r in keep},
+    )
+    ring = e.mid.ring
+    cx_sub = build_complex(e.sub, n_max + 2, strict=True)
+    cx_mid = build_complex(e.mid, n_max + 1, strict=True)
+    cx_quot = build_complex(e.quot, n_max + 1, strict=True)
+    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
+    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
+    if fields is None:
+        fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
+    complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
+
+    def cols(m):
+        return _sparse_rows(m.transpose())
+
+    diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
+    diff_cols = {part: [cols(d) for d in cx.diffs] for part, cx in complexes.items()}
+    inj_rows = {n: _sparse_rows(m) for n, m in inj.items()}
+    inj_cols = {n: cols(m) for n, m in inj.items()}
+    prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
+    prj_cols = {n: cols(m) for n, m in prj.items()}
+    applied, skipped, positions = [], {}, []
+    for p in dict.fromkeys(fields):
+        field = Field(p)
+        name = field.render()
+        if not ring.is_integers and p and ring.modulus % p:
+            skipped[name] = f"{p} does not divide the modulus {ring.modulus}"
+            continue
+        if not ring.is_integers and p == 0:
+            skipped[name] = "no rational coefficients over a modular ring"
+            continue
+        reason = _levelwise_field_reason(e, field)
+        if reason:
+            skipped[name] = reason
+            continue
+        applied.append(name)
+        h = {}
+        for part, cx in complexes.items():
+            for n in range(cx.n_max):
+                h[part, n] = _ReferenceCohomology(
+                    field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
+                )
+        d_prev = []
+        for n in range(n_max + 1):
+            f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
+            g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
+            lifts = _solve(
+                field, prj_rows[n], cx_mid.dimension(n), h["quot", n].basis, "projection"
+            )
+            images = _solve(
+                field,
+                inj_rows[n + 1],
+                cx_sub.dimension(n + 1),
+                [_combine(field, diff_cols["mid"][n + 1], c) for c in lifts],
+                "inclusion",
+            )
+            d = [h["sub", n + 1].coords(v) for v in images]
+            positions.append(_reference_position(field, n, "sub", h["sub", n].dim, d_prev, f))
+            positions.append(_reference_position(field, n, "mid", h["mid", n].dim, f, g))
+            positions.append(_reference_position(field, n, "quot", h["quot", n].dim, g, d))
+            d_prev = d
+    return tuple(applied), skipped, positions
+
+
+_RINGS = (Ring.integers(), Ring.modular(2), Ring.modular(4), Ring.modular(6))
+_FIELD_LISTS = (None, (7,), (0, 5), (2, 2, 3))
+
+
+def _field_loop_cases():
+    """200 seeded sequences over Z, Z/2, Z/4 and Z/6 in turn, each with each
+    of four field lists: split and coupled random_ses draws and coupled
+    height-one sequences, a third of each."""
+    rng = random.Random(9090)
+    for i in range(200):
+        ring, kind = _RINGS[i % 4], i // 4 % 3
+        if kind == 2:
+            e = _coupled_two_level_ses(rng, ring)
+        else:
+            e = random_ses(rng, split=kind == 0, ring=ring)
+        for fields in _FIELD_LISTS:
+            yield e, fields
+
+
+def test_field_loop_matches_the_reference_loop():
+    # Floors count cases, a case being one sequence with one field list.
+    connecting = multi_point = skipped = 0
+    for e, fields in _field_loop_cases():
+        rep = les_of_ses(e, 2, fields=fields)
+        want_fields, want_skipped, want_positions = _reference_field_loop(e, 2, fields)
+        assert rep.fields == want_fields
+        assert rep.skipped == want_skipped
+        assert [(p.field, p.degree, p.at, p.ok, p.detail) for p in rep.positions] == want_positions
+        assert rep.ok
+        connecting += any(
+            p.at == "quot" and "rank(out)=0" not in p.detail for p in rep.positions
+        )
+        multi_point += len(core_elements(e.mid.index)) > 1
+        skipped += bool(rep.skipped)
+    assert connecting >= 20 and multi_point >= 300 and skipped >= 300
+
+
+def test_each_induced_map_is_ranked_once(monkeypatch):
+    # Each of f_n, g_n and the connecting map is the out-map at one position
+    # and the in-map at the next; les_of_ses ranks it once and reads the rank
+    # at both. Every list handed to _rank is kept, so identities stay unique.
+    ranked = []
+
+    def recording_rank(field, vectors):
+        ranked.append((field.p, vectors))
+        return _rank(field, vectors)
+
+    monkeypatch.setattr(rooslab.les, "_rank", recording_rank)
+    calls = 0
+    for e, fields in itertools.islice(_field_loop_cases(), 240):
+        ranked.clear()
+        les_of_ses(e, 2, fields=fields)
+        calls += len(ranked)
+        for p in {p for p, _ in ranked}:
+            lists = [v for q, v in ranked if q == p]
+            assert len({id(v) for v in lists}) == len(lists), (p, fields)
+    assert calls > 2000
