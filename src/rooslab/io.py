@@ -61,12 +61,12 @@ def _matrix_from_doc(rows, nrows, ncols, where) -> IntMatrix:
         _fail(where, "matrix must be a list of rows")
     for r in rows:
         for x in r:
-            if not isinstance(x, int):
+            if type(x) is not int:  # JSON true and false are bools, not ints
                 _fail(where, f"matrix entry {x!r} is not an integer")
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         got = (len(rows), len(rows[0]) if rows else ncols)
         _fail(where, f"matrix shape {got} does not match expected {(nrows, ncols)}")
-    return IntMatrix([list(r) for r in rows], ncols)
+    return IntMatrix._trusted(rows, ncols)
 
 
 def _matrix_to_doc(m: IntMatrix) -> list:
@@ -294,18 +294,17 @@ def tree_from_doc(doc, where: str = "tree") -> TreeInstance:
     for i, stage in enumerate(_need(doc, "stages", where, list)):
         sw = f"{where}.stages[{i}]"
         outlier = evc_from_doc(_need(stage, "outlier", sw), f"{sw}.outlier")
-        ladder = tuple(
+        ladder = [
             evc_from_doc(r, f"{sw}.ladder[{n}]")
             for n, r in enumerate(_need(stage, "ladder", sw, list))
-        )
-        points = []
-        for p in _need(stage, "points", sw, list):
+        ]
+        points = _need(stage, "points", sw, list)
+        for p in points:
             if not (isinstance(p, list) and len(p) == 2):
                 _fail(sw, f"point {p!r} is not a [column, row] pair")
-            points.append((p[0], p[1]))
-        stages.append(TreeStage(outlier, ladder, tuple(points)))
+        stages.append(TreeStage(outlier, ladder, points))
     base = _gridfun_from_doc(_need(doc, "base", where), modulus, f"{where}.base")
-    t = TreeInstance(len(stages), tuple(stages), base)
+    t = TreeInstance(len(stages), stages, base)
     report = validate_tree(t)
     if not report.ok:
         _fail(where, f"invalid instance: {list(report.violations[:3])}")

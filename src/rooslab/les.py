@@ -5,7 +5,10 @@ exact sequence of cochain complexes, and over any coefficient field where
 the reduced levelwise sequence stays exact, the cohomologies thread into a
 long exact sequence through connecting maps. ``les_of_ses`` computes the
 base-ring derived limits of all three systems and then verifies exactness
-of the long sequence position by position over several fields.
+of the long sequence position by position over several fields. Levelwise,
+the sequence is one of free modules over R = Z or Z/m that ``validate_ses``
+proves exact; with a free quotient it splits, so it stays exact over Q and
+every GF(p) when R = Z, and over GF(p) for every p dividing m.
 
 The field-side linear algebra is one routine, ``_echelon``: the reduced row
 echelon form of sparse rows over the field, taken separately for every
@@ -324,21 +327,6 @@ def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, maps: di
     return IntMatrix(rows, cx_from.total_ranks[n])
 
 
-def _levelwise_field_reason(e: SystemSES, field: Field) -> str | None:
-    """Why the reduced levelwise sequence fails to be exact over the field,
-    or None if it is exact everywhere."""
-    for lam in e.mid.index.elements:
-        ri = _rank(field, _sparse_rows(e.inject[lam]))
-        rp = _rank(field, _sparse_rows(e.project[lam]))
-        if ri != e.sub.rank(lam):
-            return f"inclusion at {lam!r} loses injectivity over {field.render()}"
-        if rp != e.quot.rank(lam):
-            return f"projection at {lam!r} loses surjectivity over {field.render()}"
-        if ri + rp != e.mid.rank(lam):
-            return f"middle exactness at {lam!r} fails over {field.render()}"
-    return None
-
-
 def _check_position(field, degree, at, dim, in_map: list, out_map: list, ri: int, ro: int):
     """Exactness at one position; each map is the list of its columns, the
     classes of the images of its source basis, and ``ri`` and ``ro`` are
@@ -362,9 +350,10 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
     GF(p); the default is (0, 2, 3, 5) over the integers and the prime
     divisors of the modulus over a modular ring (a ValueError when what
     trial division below ``_TRIAL_BOUND`` leaves of it is not provably
-    prime); a repeated characteristic counts once. Fields where the reduced
-    levelwise sequence stops being exact are skipped with a reason rather
-    than failed — no long sequence is promised there.
+    prime); a repeated characteristic counts once. A field is skipped, with
+    its reason, only when the ring rules it out (Q, or a prime not dividing
+    m, over Z/m): over every other field the split levelwise sequence stays
+    exact, and no long sequence is promised anywhere else.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -427,10 +416,6 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             continue
         if not ring.is_integers and p == 0:
             skipped[name] = "no rational coefficients over a modular ring"
-            continue
-        reason = _levelwise_field_reason(e, field)
-        if reason:
-            skipped[name] = reason
             continue
         applied.append(name)
         h = {}

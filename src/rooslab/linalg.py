@@ -118,8 +118,8 @@ class IntMatrix:
     def _trusted(cls, rows, ncols: int) -> "IntMatrix":
         """A matrix from rows that are already sequences of ``int``, each
         ``ncols`` long: the results linalg and the complex assembler build
-        themselves. Nothing is coerced or checked; every other caller goes
-        through ``__init__``.
+        themselves, and document matrices, which ``io`` has checked. Nothing
+        is coerced or checked; every other caller goes through ``__init__``.
         """
         self = object.__new__(cls)
         frozen = tuple(map(tuple, rows))

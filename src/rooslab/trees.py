@@ -9,12 +9,13 @@ one at that stage's points.  Because a stage's points avoid all its rungs
 up to a finite prefix, two branches that split at a stage keep a certified,
 recheckable set of cells where their colourings must differ — everything
 here is finite data with explicit bounds, never a claim about the
-unmaterialized tails.
+unmaterialized tails.  Each instance is checked once: ``validate_tree``
+stores its verdict on the immutable instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .coherence import EvcFun, GridFun, evc_compare, evc_join
@@ -26,12 +27,22 @@ class TreeStage:
     ladder: tuple
     points: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "ladder", tuple(self.ladder))
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
+
 
 @dataclass(frozen=True)
 class TreeInstance:
+    """Immutable: ``validate_tree`` stores its verdict on it (``_report``)."""
+
     length: int
     stages: tuple
     base: GridFun
+    _report: TreeReport | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
 
     @property
     def stage_size(self) -> int:
@@ -50,7 +61,10 @@ def validate_tree(t: TreeInstance) -> TreeReport:
     rung: ladders weakly increase, outliers escape every rung cofinally,
     points sit in the outlier grid minus the rung grid and inside the base
     colouring's carrier, no stage repeats a point, and a stage's points hit
-    rung n's grid only among the first n picks (prefix containment)."""
+    rung n's grid only among the first n picks (prefix containment). Stored
+    on the instance."""
+    if t._report is not None:
+        return t._report
     bad = []
     if t.length != len(t.stages):
         bad.append(f"length {t.length} does not match {len(t.stages)} stages")
@@ -83,7 +97,8 @@ def validate_tree(t: TreeInstance) -> TreeReport:
                     bad.append(
                         f"stage {a}, rung {n}: point {m} breaks the prefix containment"
                     )
-    return TreeReport(not bad, tuple(bad))
+    object.__setattr__(t, "_report", TreeReport(not bad, tuple(bad)))
+    return t._report
 
 
 def _checked(t: TreeInstance) -> None:
@@ -222,12 +237,12 @@ def build_tree(stages, modulus: int = 2, base: GridFun | None = None) -> TreeIns
             x = pick_point(outlier, rung, used)
             used.add(x)
             points.append(x)
-        built.append(TreeStage(outlier, tuple(ladder), tuple(points)))
+        built.append(TreeStage(outlier, ladder, points))
         carrier = evc_join(carrier, outlier)
         for rung in ladder:
             carrier = evc_join(carrier, rung)
     if base is None:
         base = GridFun.make(carrier, modulus, 0, {})
-    t = TreeInstance(len(built), tuple(built), base)
+    t = TreeInstance(len(built), built, base)
     _checked(t)
     return t

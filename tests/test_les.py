@@ -13,7 +13,6 @@ from rooslab.les import (
     _axpy,
     _combine,
     _echelon,
-    _levelwise_field_reason,
     _levelwise_matrix,
     _prime_divisors,
     _rank,
@@ -427,6 +426,23 @@ def _reference_position(field, degree, at, dim, in_map, out_map):
     if problems:
         detail += " [" + ", ".join(problems) + "]"
     return (field.render(), degree, at, not problems, detail)
+
+
+def _levelwise_field_reason(e, field):
+    """Why the reduced levelwise sequence fails to be exact over the field,
+    or None if it is exact everywhere. les_of_ses no longer asks: a sequence
+    that validate_ses passes splits, so this never finds a reason on the
+    fields the ring allows, and the reference loop's skips equal its own."""
+    for lam in e.mid.index.elements:
+        ri = _rank(field, _sparse_rows(e.inject[lam]))
+        rp = _rank(field, _sparse_rows(e.project[lam]))
+        if ri != e.sub.rank(lam):
+            return f"inclusion at {lam!r} loses injectivity over {field.render()}"
+        if rp != e.quot.rank(lam):
+            return f"projection at {lam!r} loses surjectivity over {field.render()}"
+        if ri + rp != e.mid.rank(lam):
+            return f"middle exactness at {lam!r} fails over {field.render()}"
+    return None
 
 
 def _reference_field_loop(e, n_max, fields=None):
