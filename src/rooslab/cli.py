@@ -373,6 +373,8 @@ def _cmd_tree_build(args) -> int:
 
 
 def _cmd_tree_separate(args) -> int:
+    if args.depth == 0 and (args.left is None or args.right is None):
+        raise DocumentError("--depth 0 leaves no stage to split the default branches at")
     instance = parse_tree(args.instance)
     left = args.left if args.left is not None else (0,) * args.depth
     right = args.right if args.right is not None else (1,) + (0,) * (args.depth - 1)
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nerve", parents=[common], help="nerve cohomology of a finite category")
     p.add_argument("--category", required=True, help="category document path")
     p.add_argument("--object", required=True, help="base object")
-    p.add_argument("--rank", type=int, default=1, help="copies of the base block")
+    p.add_argument("--rank", type=_natural("rank"), default=1, help="copies of the base block")
     p.add_argument("--max-degree", type=_degree, default=3)
     p.set_defaults(run=_cmd_nerve)
 
@@ -475,19 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(run=_cmd_cohere_check)
     pt = csub.add_parser("trivialize", parents=[common], help="exhaustive trivialization search")
     pt.add_argument("--family", required=True)
-    pt.add_argument("--budget", type=int, default=0)
-    pt.add_argument("--horizon", type=int, required=True)
+    pt.add_argument("--budget", type=_natural("budget"), default=0)
+    pt.add_argument("--horizon", type=_natural("horizon"), required=True)
     pt.set_defaults(run=_cmd_cohere_trivialize)
 
     p = sub.add_parser("tree", parents=[], help="branching trivialization instances")
     tsub = p.add_subparsers(dest="subcommand", required=True)
     tb = tsub.add_parser("build", parents=[common], help="all branch states to a depth")
     tb.add_argument("--instance", required=True)
-    tb.add_argument("--depth", type=int, required=True)
+    tb.add_argument("--depth", type=_natural("depth"), required=True)
     tb.set_defaults(run=_cmd_tree_build)
     ts = tsub.add_parser("separate", parents=[common], help="branch separation certificate")
     ts.add_argument("--instance", required=True)
-    ts.add_argument("--depth", type=int, required=True)
+    ts.add_argument("--depth", type=_natural("depth"), required=True)
     ts.add_argument("--left", type=_bits, default=None, help="branch code, e.g. 010")
     ts.add_argument("--right", type=_bits, default=None)
     ts.add_argument("--probe", type=_points_arg, default=[], help='probed cells "i,j;i,j"')

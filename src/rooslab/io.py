@@ -41,6 +41,14 @@ def _need(doc, key, where, kind=None):
     return value
 
 
+def _integer(x, where, what) -> int:
+    """``x`` if it is an integer, else a DocumentError naming ``what``. JSON
+    ``true`` and ``false`` are not integers, though Python's bools are."""
+    if type(x) is not int:
+        _fail(where, f"{what} is not an integer: {x!r}")
+    return x
+
+
 def parse_ring(tag) -> Ring:
     """The ring of a tag ``Ring.render`` writes: "Z" or "Z/m" with m >= 2."""
     if tag == "Z":
@@ -57,12 +65,13 @@ def parse_ring(tag) -> Ring:
 
 
 def _matrix_from_doc(rows, nrows, ncols, where) -> IntMatrix:
+    """The one check of a document matrix: ``nrows`` lists of ``ncols``
+    integers each. The rows are then taken as they are."""
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         _fail(where, "matrix must be a list of rows")
     for r in rows:
         for x in r:
-            if type(x) is not int:  # JSON true and false are bools, not ints
-                _fail(where, f"matrix entry {x!r} is not an integer")
+            _integer(x, where, "matrix entry")
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         got = (len(rows), len(rows[0]) if rows else ncols)
         _fail(where, f"matrix shape {got} does not match expected {(nrows, ncols)}")
@@ -108,8 +117,8 @@ def system_from_doc(doc, where: str = "system") -> InverseSystem:
     for e in elements:
         if e not in objects:
             _fail(where, f"objects: no rank for {e!r}")
-        r = objects[e]
-        if not isinstance(r, int) or r < 0:
+        r = _integer(objects[e], where, f"objects: rank of {e!r}")
+        if r < 0:
             _fail(where, f"objects: rank of {e!r} must be a natural number")
         ranks[e] = r
     extra = set(objects) - known
@@ -219,8 +228,8 @@ def evc_to_doc(f: EvcFun) -> dict:
 
 def evc_from_doc(doc, where: str = "function") -> EvcFun:
     prefix = _need(doc, "prefix", where, list)
-    tail = _need(doc, "tail", where, int)
-    if any(not isinstance(v, int) for v in prefix):
+    tail = _integer(_need(doc, "tail", where), where, 'key "tail"')
+    if any(type(v) is not int for v in prefix):
         _fail(where, "prefix values must be integers")
     try:
         return EvcFun.of(prefix, tail)
@@ -238,9 +247,9 @@ def _gridfun_to_doc(phi: GridFun) -> dict:
 
 def _gridfun_from_doc(doc, modulus: int, where: str) -> GridFun:
     carrier = evc_from_doc(_need(doc, "carrier", where), f"{where}.carrier")
-    default = _need(doc, "default", where, int)
+    default = _integer(_need(doc, "default", where), where, 'key "default"')
     table = {}
-    for entry in _need(doc, "exceptions", where, list):
+    for k, entry in enumerate(_need(doc, "exceptions", where, list)):
         if not (
             isinstance(entry, list)
             and len(entry) == 2
@@ -248,11 +257,19 @@ def _gridfun_from_doc(doc, modulus: int, where: str) -> GridFun:
             and len(entry[0]) == 2
         ):
             _fail(where, f"exception entry {entry!r} is not [[column, row], value]")
-        table[tuple(entry[0])] = entry[1]
+        cell = tuple(_integer(c, where, f"exceptions[{k}] cell coordinate") for c in entry[0])
+        table[cell] = _integer(entry[1], where, f"exceptions[{k}] value")
     try:
         return GridFun.make(carrier, modulus, default, table)
     except ValueError as err:
         _fail(where, str(err))
+
+
+def _modulus(doc, where) -> int:
+    m = _integer(_need(doc, "modulus", where), where, 'key "modulus"')
+    if m < 2:
+        _fail(where, f'key "modulus" must be at least 2, got {m}')
+    return m
 
 
 def family_to_doc(fam: FamilySpec) -> dict:
@@ -263,7 +280,7 @@ def family_to_doc(fam: FamilySpec) -> dict:
 
 
 def family_from_doc(doc, where: str = "family") -> FamilySpec:
-    modulus = _need(doc, "modulus", where, int)
+    modulus = _modulus(doc, where)
     members = []
     for i, member in enumerate(_need(doc, "members", where, list)):
         members.append(_gridfun_from_doc(member, modulus, f"{where}.members[{i}]"))
@@ -289,7 +306,7 @@ def tree_to_doc(t: TreeInstance) -> dict:
 
 
 def tree_from_doc(doc, where: str = "tree") -> TreeInstance:
-    modulus = _need(doc, "modulus", where, int)
+    modulus = _modulus(doc, where)
     stages = []
     for i, stage in enumerate(_need(doc, "stages", where, list)):
         sw = f"{where}.stages[{i}]"
@@ -299,9 +316,11 @@ def tree_from_doc(doc, where: str = "tree") -> TreeInstance:
             for n, r in enumerate(_need(stage, "ladder", sw, list))
         ]
         points = _need(stage, "points", sw, list)
-        for p in points:
+        for k, p in enumerate(points):
             if not (isinstance(p, list) and len(p) == 2):
                 _fail(sw, f"point {p!r} is not a [column, row] pair")
+            for c in p:
+                _integer(c, sw, f"points[{k}] coordinate")
         stages.append(TreeStage(outlier, ladder, points))
     base = _gridfun_from_doc(_need(doc, "base", where), modulus, f"{where}.base")
     t = TreeInstance(len(stages), stages, base)

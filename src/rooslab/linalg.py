@@ -156,9 +156,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def mutable_rows(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
@@ -210,15 +207,6 @@ class IntMatrix:
                     acc += a * x
             out.append(acc)
         return out
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def rows_at(self, idx) -> "IntMatrix":
-        return IntMatrix._trusted([self.rows[i] for i in idx], self.ncols)
 
     def cols_at(self, idx) -> "IntMatrix":
         idx = list(idx)

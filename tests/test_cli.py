@@ -12,6 +12,7 @@ import pytest
 import rooslab.cli
 import rooslab.complexes
 import rooslab.linalg
+import rooslab.trees
 from rooslab.cli import main
 from rooslab.coherence import EvcFun, FamilySpec, GridFun
 from rooslab.gen import random_system, random_tree_instance
@@ -469,6 +470,78 @@ def test_tree_commands(tmp_path, capsys):
     assert "equal" in capsys.readouterr().err
 
 
+def test_tree_separate_depth_zero_names_the_flag(tmp_path, capsys):
+    path = str(tmp_path / "tree.json")
+    write_document(tree_to_doc(random_tree_instance(random.Random(2), rungs=4)), path)
+    for given in ([], ["--left", "1"], ["--right", "1"]):
+        assert main(["tree", "separate", "--instance", path, "--depth", "0"] + given) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --depth 0 "), given
+    # With both branches named, --depth is not read.
+    argv = ["tree", "separate", "--instance", path, "--depth", "0", "--left", "0"]
+    assert main(argv + ["--right", "1"]) == 0
+
+
+def test_tree_verdict_is_computed_once_per_command(tmp_path, capsys, monkeypatch):
+    made = []
+
+    class CountingReport(rooslab.trees.TreeReport):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rooslab.trees, "TreeReport", CountingReport)
+    path = str(tmp_path / "tree.json")
+    write_document(tree_to_doc(random_tree_instance(random.Random(2), rungs=4)), path)
+    for argv in (["tree", "build", "--depth", "1"], ["tree", "separate", "--depth", "1"]):
+        made.clear()
+        assert main(argv + ["--instance", path]) == 0
+        assert len(made) == 1, argv
+    capsys.readouterr()
+
+
+def _malformed(doc, where, value):
+    """A copy of the document with the JSON value at the key path replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind,where,value,says",
+    [
+        ("family", ("members", 0, "exceptions"), [[["x", 0], 1]], "exceptions[0] cell"),
+        ("family", ("members", 0, "exceptions"), [[[0, 0], "1"]], "exceptions[0] value"),
+        ("family", ("modulus",), 0, 'key "modulus" must be at least 2'),
+        ("tree", ("stages", 0, "points", 0), ["a", "b"], "points[0] coordinate"),
+        ("tree", ("stages", 0, "points", 0), [0.5, 1], "points[0] coordinate"),
+        ("system", ("objects",), {"a": True}, "rank of 'a' is not an integer"),
+    ],
+    ids=["cell", "value", "modulus", "point-strings", "point-float", "bool-rank"],
+)
+def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, kind, where, value, says):
+    path = str(tmp_path / f"{kind}.json")
+    if kind == "family":
+        doc = family_to_doc(_two_member_family())
+        argv = ["cohere", "check", "--family", path]
+    elif kind == "tree":
+        doc = tree_to_doc(random_tree_instance(random.Random(2), rungs=4))
+        argv = ["tree", "separate", "--instance", path, "--depth", "1"]
+    else:
+        doc = {"ring": "Z", "indices": ["a"], "leq": [], "objects": {"a": 1},
+               "maps": {"a->a": [[True]]}}
+        argv = ["limit", "--system", path, "--degree", "0"]
+    write_document(_malformed(doc, where, value), path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err, path)
+    assert says in captured.err and "Traceback" not in captured.err
+
+
 def test_make_a_command(tmp_path, capsys):
     out_path = str(tmp_path / "a.json")
     argv = ["make-a", "--functions", "2,1;1,2;2,2", "--ring", "Z", "--out", out_path]
@@ -549,6 +622,10 @@ def test_negative_degrees_are_usage_errors(tmp_path, capsys):
     write_document(ses_to_doc(_coupled_ses()), ses)
     category = str(tmp_path / "cat.json")
     write_document(_monoid_category_doc(), category)
+    family = str(tmp_path / "family.json")
+    write_document(family_to_doc(_two_member_family()), family)
+    tree = str(tmp_path / "tree.json")
+    write_document(tree_to_doc(random_tree_instance(random.Random(2), rungs=4)), tree)
     cases = [
         (["limit", "--system", system, "--degree", "-1"], "--degree"),
         (["limit", "--system", system, "--degree", "-3"], "--degree"),
@@ -556,8 +633,14 @@ def test_negative_degrees_are_usage_errors(tmp_path, capsys):
         (["les", "--ses", ses, "--max-degree", "-1"], "--max-degree"),
         (["nerve", "--category", category, "--object", "o0", "--max-degree", "-1"],
          "--max-degree"),
-        # A count, not a degree, but refused the same way.
+        # Counts, not degrees, but refused the same way.
         (["verify", "--system", system, "--spot-checks", "-3"], "--spot-checks"),
+        (["nerve", "--category", category, "--object", "o0", "--rank", "-1"], "--rank"),
+        (["cohere", "trivialize", "--family", family, "--horizon", "-1"], "--horizon"),
+        (["cohere", "trivialize", "--family", family, "--horizon", "6", "--budget", "-1"],
+         "--budget"),
+        (["tree", "build", "--instance", tree, "--depth", "-1"], "--depth"),
+        (["tree", "separate", "--instance", tree, "--depth", "-1"], "--depth"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:

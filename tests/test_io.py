@@ -118,6 +118,9 @@ def test_unknown_keys_tolerated():
         (lambda d: d["maps"].update({"y->x": [[1, 2]]}), "shape"),
         (lambda d: d["maps"].update({"y->x": [[None]]}), "not an integer"),
         (lambda d: d.update(objects="lots"), 'key "objects" has type'),
+        # JSON true is a Python bool, and so an int, but no integer here.
+        (lambda d: d["objects"].update(y=True), "rank of 'y' is not an integer: True"),
+        (lambda d: d["maps"].update({"y->x": [[True]]}), "matrix entry is not an integer: True"),
     ],
 )
 def test_system_doc_errors(mutate, needle):

@@ -468,7 +468,8 @@ def _reference_field_loop(e, n_max, fields=None):
     complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
 
     def cols(m):
-        return _sparse_rows(m.transpose())
+        transposed = [[row[j] for row in m.rows] for j in range(m.ncols)]
+        return _sparse_rows(IntMatrix(transposed, m.nrows))
 
     diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
     diff_cols = {part: [cols(d) for d in cx.diffs] for part, cx in complexes.items()}

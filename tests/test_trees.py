@@ -45,6 +45,27 @@ def test_pick_rule_frozen_example():
     assert {p for p, _ in one.state.exceptions} == set(t.stages[0].points)
 
 
+def test_stored_verdict_survives_mutation_of_the_callers_lists():
+    out = EvcFun.of([], tail=1)
+    ladder = list(_ones_ladder(3))
+    points = [[1, 0], [2, 0], [3, 0]]
+    stage = TreeStage(out, ladder, points)
+    stages = [stage]
+    t = TreeInstance(1, stages, GridFun.make(out, 2, 0, {}))
+    report = validate_tree(t)
+    assert report.ok
+    points[2] = [0, 0]
+    points.append([4, 0])
+    ladder.reverse()
+    stages.append(stage)
+    assert t.stages == (stage,)
+    assert stage.points == ((1, 0), (2, 0), (3, 0)) and stage.ladder == _ones_ladder(3)
+    assert validate_tree(t) is report
+    # The same lists, read afresh, make an invalid instance.
+    fresh = TreeInstance(1, stages, GridFun.make(out, 2, 0, {}))
+    assert not validate_tree(fresh).ok
+
+
 def test_pick_scans_past_used_points():
     out = EvcFun.of([], tail=1)
     rung = EvcFun.of([1])
