@@ -352,8 +352,8 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
     trial division below ``_TRIAL_BOUND`` leaves of it is not provably
     prime); a repeated characteristic counts once. A field is skipped, with
     its reason, only when the ring rules it out (Q, or a prime not dividing
-    m, over Z/m): over every other field the split levelwise sequence stays
-    exact, and no long sequence is promised anywhere else.
+    m, over Z/m); over every other field the split levelwise sequence stays
+    exact.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
