@@ -2,10 +2,12 @@
 
 Every subcommand builds a :class:`Report` — command echo, results, verdicts,
 stats — and prints it as text or, with ``--json``, as a machine-readable
-object with stable field names.  The exit status is 0 exactly when every
-verdict passes, 1 when one fails, and 2 for parse or usage errors.  The
-``ROOSLAB_SEED`` environment variable fixes the seed of the randomized
-spot-checks so runs are reproducible.
+object with stable field names: the bytes of ``json.dumps(report.payload(),
+indent=2, sort_keys=True)``, which :meth:`Report.render_json` writes in one
+pass.  The exit status is 0 exactly when every verdict passes, 1 when one
+fails, and 2 for parse or usage errors.  The ``ROOSLAB_SEED`` environment
+variable fixes the seed of the randomized spot-checks so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .category import corepresented_system, nerve_complex
 from .coherence import coherence_check, trivialize_report
@@ -51,6 +54,11 @@ from .trees import basecase_tree, branch_separation
 
 @dataclass
 class Report:
+    """One run's report: ``results`` and ``stats`` map strings to JSON
+    values, and each verdict is a (name, ok, detail) tuple of a string, a
+    bool and a string, as :meth:`verdict` records it. ``payload`` is its JSON
+    schema; ``render_text`` and ``render_json`` print it."""
+
     command: str
     results: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
@@ -93,6 +101,64 @@ class Report:
         )
         return "\n".join(lines)
 
+    def render_json(self) -> str:
+        """``json.dumps(self.payload(), indent=2, sort_keys=True)``, byte for
+        byte, written in one pass from templates of the payload's fixed
+        shape. Strings are escaped by the function ``json.dumps`` itself
+        uses; values other than strings, bools and ints are dumped alone and
+        re-indented to their depth, which is exact because an encoded JSON
+        string holds no raw newline. ``payload`` stays the schema, and the
+        tests hold this rendering to its dump."""
+        if self.verdicts:
+            verdicts = (
+                "[\n    "
+                + ",\n    ".join(
+                    _VERDICT % (_quote(detail), _quote(name), "true" if ok else "false")
+                    for name, ok, detail in self.verdicts
+                )
+                + "\n  ]"
+            )
+        else:
+            verdicts = "[]"
+        return _REPORT % (
+            _quote(self.command),
+            "true" if self.ok else "false",
+            _object(self.results),
+            _object(self.stats),
+            verdicts,
+        )
+
+
+_REPORT = (
+    '{\n  "command": %s,\n  "ok": %s,\n  "results": %s,\n  "stats": %s,\n'
+    '  "verdicts": %s\n}'
+)
+_VERDICT = '{\n      "detail": %s,\n      "name": %s,\n      "ok": %s\n    }'
+
+
+def _value(value) -> str:
+    """One value of a report's ``results`` or ``stats``, as ``json.dumps``
+    writes it two levels deep."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+def _object(table: dict) -> str:
+    """A report's ``results`` or ``stats`` (string keys) at depth one."""
+    if not table:
+        return "{}"
+    return (
+        "{\n    "
+        + ",\n    ".join(f"{_quote(k)}: {_value(v)}" for k, v in sorted(table.items()))
+        + "\n  }"
+    )
+
 
 def _print(text: str) -> None:
     """Print and flush; a reader that closed early (``rooslab ... | head -1``)
@@ -110,7 +176,7 @@ def _print(text: str) -> None:
 
 def _emit(report: Report, args) -> int:
     if args.json:
-        _print(json.dumps(report.payload(), indent=2, sort_keys=True))
+        _print(report.render_json())
     else:
         _print(report.render_text())
     return 0 if report.ok else 1

@@ -1,6 +1,7 @@
 """JSON document formats: systems, exact sequences, categories, families, trees.
 
-One canonical, diff-able shape per object.  A system document uses the
+One canonical, diff-able shape per object.  Index, object and morphism
+labels are JSON strings.  A system document uses the
 top-level keys "ring", "indices", "leq", "objects", "maps"; map keys are
 strings "mu->lambda" (source object first), the value a row-list matrix
 with rank(lambda) rows and rank(mu) columns, acting on column vectors.
@@ -101,6 +102,9 @@ def system_to_doc(s: InverseSystem) -> dict:
 def system_from_doc(doc, where: str = "system") -> InverseSystem:
     ring = parse_ring(_need(doc, "ring", where))
     elements = _need(doc, "indices", where, list)
+    for e in elements:
+        if not isinstance(e, str):
+            _fail(where, f"indices entry {e!r} is not a string")
     if len(set(elements)) != len(elements):
         _fail(where, "duplicate index labels")
     known = set(elements)
@@ -108,6 +112,8 @@ def system_from_doc(doc, where: str = "system") -> InverseSystem:
     for p in _need(doc, "leq", where, list):
         if not (isinstance(p, list) and len(p) == 2):
             _fail(where, f"leq entry {p!r} is not a pair")
+        if not (isinstance(p[0], str) and isinstance(p[1], str)):
+            _fail(where, f"leq entry {p!r} has a label that is not a string")
         if p[0] not in known or p[1] not in known:
             _fail(where, f"leq entry {p!r} mentions an unknown label")
         pairs.append((p[0], p[1]))
@@ -205,16 +211,26 @@ def category_to_doc(cat: FiniteCategory) -> dict:
 
 def category_from_doc(doc, where: str = "category") -> FiniteCategory:
     objects = _need(doc, "objects", where, list)
+    for o in objects:
+        if not isinstance(o, str):
+            _fail(where, f"objects entry {o!r} is not a string")
     morphisms = {}
     for name, ends in _need(doc, "morphisms", where, dict).items():
         if not (isinstance(ends, list) and len(ends) == 2):
             _fail(where, f"morphism {name!r} endpoints {ends!r} are not a pair")
+        if not (isinstance(ends[0], str) and isinstance(ends[1], str)):
+            _fail(where, f"morphism {name!r} endpoints {ends!r} are not strings")
         morphisms[name] = (ends[0], ends[1])
     identities = _need(doc, "identities", where, dict)
+    for o, name in identities.items():
+        if not isinstance(name, str):
+            _fail(where, f"identity of {o!r} is {name!r}, not a string")
     compose = {}
     for entry in _need(doc, "compose", where, list):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail(where, f"compose entry {entry!r} is not [after, before, result]")
+        if not all(isinstance(x, str) for x in entry):
+            _fail(where, f"compose entry {entry!r} names a morphism that is not a string")
         compose[(entry[0], entry[1])] = entry[2]
     try:
         return FiniteCategory(objects, morphisms, identities, compose)

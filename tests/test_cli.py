@@ -13,9 +13,15 @@ import rooslab.cli
 import rooslab.complexes
 import rooslab.linalg
 import rooslab.trees
-from rooslab.cli import main
+from rooslab.cli import Report, main
 from rooslab.coherence import EvcFun, FamilySpec, GridFun
-from rooslab.gen import random_system, random_tree_instance
+from rooslab.gen import (
+    random_category,
+    random_family,
+    random_ses,
+    random_system,
+    random_tree_instance,
+)
 from rooslab.io import (
     write_document,
     category_to_doc,
@@ -96,6 +102,120 @@ def _monoid_category_doc():
             ["id1", "a", "a"],
         ],
     }
+
+
+def _named_category_doc(cat):
+    """A category document with its morphisms renamed to strings m0, m1, ..."""
+    name = {m: f"m{i}" for i, m in enumerate(cat.morphism_names)}
+    return {
+        "objects": list(cat.objects),
+        "morphisms": {name[m]: [cat.src(m), cat.tgt(m)] for m in cat.morphism_names},
+        "identities": {o: name[m] for o, m in cat.identity.items()},
+        "compose": [
+            [name[g], name[f], name[cat.compose(g, f)]]
+            for g in cat.morphism_names
+            for f in cat.morphism_names
+            if cat.tgt(f) == cat.src(g)
+        ],
+    }
+
+
+def _generated_runs(tmp_path):
+    """Argument lists for every subcommand with a report, on generated inputs."""
+    rng = random.Random(11)
+    runs = []
+    for i in range(4):
+        path = str(tmp_path / f"system-{i}.json")
+        write_system(random_system(rng, max_elements=4), path)
+        runs.append(["limit", "--system", path, "--degree", str(i % 3)])
+        runs.append(["verify", "--system", path, "--max-degree", "2", "--spot-checks", "1"])
+    for i in range(3):
+        path = str(tmp_path / f"ses-{i}.json")
+        write_document(ses_to_doc(random_ses(rng, split=i == 0)), path)
+        runs.append(["les", "--ses", path, "--max-degree", "2"])
+    for i in range(3):
+        cat = random_category(rng)
+        path = str(tmp_path / f"category-{i}.json")
+        write_document(_named_category_doc(cat), path)
+        runs.append(["nerve", "--category", path, "--object", cat.objects[-1], "--rank", "2",
+                     "--max-degree", "2"])
+    for i in range(4):
+        path = str(tmp_path / f"family-{i}.json")
+        write_document(family_to_doc(random_family(rng, max_members=3, tails=(0,))), path)
+        runs.append(["cohere", "check", "--family", path])
+        runs.append(["cohere", "check", "--family", path, "--budget", "0"])
+        for budget in ("0", "40"):
+            runs.append(["cohere", "trivialize", "--family", path, "--budget", budget,
+                         "--horizon", "8"])
+    for i in range(3):
+        t = random_tree_instance(rng, max_stages=2, rungs=4)
+        path = str(tmp_path / f"tree-{i}.json")
+        write_document(tree_to_doc(t), path)
+        runs.append(["tree", "build", "--instance", path, "--depth", str(min(t.length, 2))])
+        runs.append(["tree", "separate", "--instance", path, "--depth", "1"])
+    return runs
+
+
+def _hand_made_reports():
+    odd = 'q"uo\\te é ☃ \x00\x1f\t\n\u2028 \U0001f600'
+    # A byte that is not UTF-8 reaches argv as a lone surrogate.
+    lone = b"rooslab limit --system \xff.json".decode("utf-8", "surrogateescape")
+    return [
+        Report(command=""),
+        Report(
+            command="rooslab " + odd,
+            results={odd: odd, "plain": "Z^1"},
+            verdicts=[(odd, True, odd), ("second", False, ""), ("", True, "x")],
+            stats={odd: 0},
+        ),
+        Report(command=lone, verdicts=[(lone, False, lone)], results={lone: lone}),
+        Report(
+            command="rooslab numbers",
+            results={
+                "witness": {2: [1, {"b": [], "a": [[]]}], 1: {}, 10: {"k": None}},
+                "empty": {},
+                "list": [[0, 1], [2, -3]],
+                "tuple": (1, (2, 3)),
+                "none": None,
+                "flag": False,
+            },
+            stats={
+                "seconds": 0.123,
+                "tiny": 1e-300,
+                "huge": 2.0**200,
+                "negative zero": -0.0,
+                "infinite": float("inf"),
+                "big": 2**100,
+                "negative": -7,
+                "yes": True,
+            },
+        ),
+    ]
+
+
+def test_json_report_is_the_indented_dump(tmp_path, capsys, monkeypatch):
+    """Every ``--json`` report is, byte for byte, the ``indent=2``, sorted-key
+    dump of its payload."""
+    payloads = []
+    emit = rooslab.cli._emit
+
+    def capture(report, args):
+        payloads.append(report.payload())
+        return emit(report, args)
+
+    monkeypatch.setattr(rooslab.cli, "_emit", capture)
+    witnesses = set()
+    for argv in _generated_runs(tmp_path):
+        payloads.clear()
+        status = main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert status in (0, 1) and len(payloads) == 1, argv
+        assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n", argv
+        if argv[:2] == ["cohere", "trivialize"]:
+            witnesses.add(payloads[0]["results"]["witness"] == "none")
+    assert witnesses == {True, False}
+    for report in _hand_made_reports():
+        assert report.render_json() == json.dumps(report.payload(), indent=2, sort_keys=True)
 
 
 def test_limit_command(tmp_path, capsys):
@@ -520,8 +640,18 @@ def _malformed(doc, where, value):
         ("tree", ("stages", 0, "points", 0), ["a", "b"], "points[0] coordinate"),
         ("tree", ("stages", 0, "points", 0), [0.5, 1], "points[0] coordinate"),
         ("system", ("objects",), {"a": True}, "rank of 'a' is not an integer"),
+        ("system", ("indices",), [["a"]], "indices entry ['a'] is not a string"),
+        ("system", ("leq",), [[["a"], "a"]], "leq entry [['a'], 'a'] has a label"),
+        ("category", ("objects",), [[1]], "objects entry [1] is not a string"),
+        ("category", ("identities", "o0"), [1], "identity of 'o0' is [1]"),
+        ("category", ("compose", 0), [[1], "a", "b"], "compose entry [[1], 'a', 'b']"),
+        ("category", ("morphisms", "a"), [["o0"], "o1"], "morphism 'a' endpoints"),
     ],
-    ids=["cell", "value", "modulus", "point-strings", "point-float", "bool-rank"],
+    ids=[
+        "cell", "value", "modulus", "point-strings", "point-float", "bool-rank",
+        "list-index", "list-leq", "list-object", "list-identity", "list-compose",
+        "list-endpoint",
+    ],
 )
 def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, kind, where, value, says):
     path = str(tmp_path / f"{kind}.json")
@@ -531,6 +661,9 @@ def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, kind, wher
     elif kind == "tree":
         doc = tree_to_doc(random_tree_instance(random.Random(2), rungs=4))
         argv = ["tree", "separate", "--instance", path, "--depth", "1"]
+    elif kind == "category":
+        doc = _monoid_category_doc()
+        argv = ["nerve", "--category", path, "--object", "o0"]
     else:
         doc = {"ring": "Z", "indices": ["a"], "leq": [], "objects": {"a": 1},
                "maps": {"a->a": [[True]]}}

@@ -1,11 +1,14 @@
 """Inverse systems: validation, restriction, grid truncations, SESs."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import rooslab.linalg
+import rooslab.systems
 from rooslab.gen import random_quasi_order, random_ses, random_system
-from rooslab.linalg import IntMatrix, Ring
+from rooslab.linalg import IntMatrix, Ring, cohomology_at
 from rooslab.orders import QuasiOrder
 from rooslab.systems import (
     BondError,
@@ -341,6 +344,105 @@ def test_random_ses_generator_is_valid():
         ses = random_ses(rng, split=rng.random() < 0.5)
         rep = validate_ses(ses)
         assert rep.ok, rep.violations
+
+
+def _ses_reference(e):
+    """The levelwise check as it was before each map was reduced once: three
+    ``cohomology_at`` calls per index element, on every ring."""
+    violations = []
+    ring = e.mid.ring
+    if e.sub.ring != ring or e.quot.ring != ring:
+        violations.append("rings differ between the three systems")
+    if e.sub.index != e.mid.index or e.quot.index != e.mid.index:
+        violations.append("index orders differ between the three systems")
+        return tuple(violations)
+    for name, sys in (("sub", e.sub), ("mid", e.mid), ("quot", e.quot)):
+        rep = validate_system(sys)
+        if not rep.ok:
+            violations.append(f"{name} system fails functoriality: {rep.violations[:3]}")
+    idx = e.mid.index
+    for lam in idx.elements:
+        if lam not in e.inject or lam not in e.project:
+            violations.append(f"missing inject/project matrix at {lam!r}")
+            continue
+        i_m = e.inject[lam]
+        p_m = e.project[lam]
+        if i_m.shape != (e.mid.rank(lam), e.sub.rank(lam)):
+            violations.append(f"inject shape wrong at {lam!r}")
+            continue
+        if p_m.shape != (e.quot.rank(lam), e.mid.rank(lam)):
+            violations.append(f"project shape wrong at {lam!r}")
+            continue
+        if not ring.is_zero_matrix(p_m @ i_m):
+            violations.append(f"project * inject nonzero at {lam!r}")
+            continue
+        ker_i = cohomology_at(IntMatrix.zeros(e.sub.rank(lam), 0), i_m, ring)
+        if not ker_i.is_trivial:
+            violations.append(f"inject not injective at {lam!r}")
+        coker_p = cohomology_at(p_m, IntMatrix.zeros(0, e.quot.rank(lam)), ring)
+        if not coker_p.is_trivial:
+            violations.append(f"project not surjective at {lam!r}")
+        middle = cohomology_at(i_m, p_m, ring)
+        if not middle.is_trivial:
+            violations.append(f"not exact at middle for {lam!r}")
+    for lam, mu in idx.related_pairs(include_diagonal=False):
+        if lam not in e.inject or mu not in e.inject:
+            continue
+        left = e.inject[lam] @ e.sub.bond(lam, mu)
+        right = e.mid.bond(lam, mu) @ e.inject[mu]
+        if not ring.matrices_equal(left, right):
+            violations.append(f"inject does not commute with bond ({lam!r}, {mu!r})")
+        left = e.project[lam] @ e.mid.bond(lam, mu)
+        right = e.quot.bond(lam, mu) @ e.project[mu]
+        if not ring.matrices_equal(left, right):
+            violations.append(f"project does not commute with bond ({lam!r}, {mu!r})")
+    return tuple(violations)
+
+
+def _ses_draws(ring, count, seed):
+    """Seeded random sequences over ``ring``, each followed by three broken
+    copies: inject zeroed, project doubled, inject doubled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = random_ses(rng, max_rank=3, split=rng.random() < 0.5, ring=ring)
+        yield e
+        for inject, project in (
+            ({k: IntMatrix.zeros(*m.shape) for k, m in e.inject.items()}, e.project),
+            (e.inject, {k: m.scale(2) for k, m in e.project.items()}),
+            ({k: m.scale(2) for k, m in e.inject.items()}, e.project),
+        ):
+            yield SystemSES(sub=e.sub, mid=e.mid, quot=e.quot, inject=inject, project=project)
+
+
+KINDS = ("inject not injective", "project not surjective", "not exact at middle")
+
+
+@pytest.mark.parametrize(
+    "modulus,floors", [(0, (20, 20, 40)), (2, (25, 12, 40)), (4, (50, 20, 70)), (6, (35, 15, 50))]
+)
+def test_validate_ses_matches_three_subquotient_reference(monkeypatch, modulus, floors):
+    """Over Z each map is reduced once, two ``invariant_factors`` calls per
+    index element; every ring gives the reference's violations verbatim."""
+    ring = Ring.integers() if modulus == 0 else Ring.modular(modulus)
+    calls = [0]
+    original = rooslab.linalg.invariant_factors
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    monkeypatch.setattr(rooslab.linalg, "invariant_factors", counted)
+    monkeypatch.setattr(rooslab.systems, "invariant_factors", counted)
+    kinds = Counter()
+    for e in _ses_draws(ring, 12, 700 + modulus):
+        want = _ses_reference(e)
+        calls[0] = 0
+        got = validate_ses(e).violations
+        assert got == want
+        if modulus == 0:
+            assert calls[0] == 2 * len(e.mid.index.elements)
+        kinds.update(k for v in got for k in KINDS if v.startswith(k))
+    assert all(kinds[k] >= floor for k, floor in zip(KINDS, floors)), kinds
 
 
 def test_random_quasi_order_partial_flag():
