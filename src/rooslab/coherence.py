@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import le
 
 
 class HorizonTooSmallError(ValueError):
@@ -51,14 +52,13 @@ class EvcFun:
     def value(self, i: int) -> int:
         if i < 0:
             raise ValueError("positions are naturals")
-        return self.prefix[i] if i < len(self.prefix) else self.tail
+        prefix = self.prefix
+        return prefix[i] if i < len(prefix) else self.tail
 
     def contains(self, point) -> bool:
         i, j = point
-        return i >= 0 and 0 <= j < self.value(i)
-
-    def finite_grid(self) -> bool:
-        return self.tail == 0
+        prefix = self.prefix
+        return i >= 0 and 0 <= j < (prefix[i] if i < len(prefix) else self.tail)
 
     def cells(self) -> list[tuple[int, int]]:
         """The grid as an explicit cell list, in lexicographic order.
@@ -86,9 +86,12 @@ def evc_compare(f: EvcFun, g: EvcFun) -> EvcComparison:
     relations reduce to tail comparison and the everywhere relation to a
     finite scan; all three answers are exact.
     """
-    span = max(len(f.prefix), len(g.prefix))
-    everywhere = f.tail <= g.tail and all(
-        f.value(i) <= g.value(i) for i in range(span)
+    fp, gp = f.prefix, g.prefix
+    everywhere = (
+        f.tail <= g.tail
+        and all(map(le, fp, gp))
+        and all(v <= g.tail for v in fp[len(gp):])
+        and all(f.tail <= v for v in gp[len(fp):])
     )
     return EvcComparison(
         leq_star=f.tail <= g.tail,
@@ -111,6 +114,11 @@ def evc_meet(f: EvcFun, g: EvcFun) -> EvcFun:
     return EvcFun.of(
         [min(f.value(i), g.value(i)) for i in range(span)], min(f.tail, g.tail)
     )
+
+
+def _require_in_carrier(carrier: EvcFun, point) -> None:
+    if not carrier.contains(point):
+        raise ValueError(f"exception point {point} outside the carrier grid")
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,7 @@ class GridFun:
             if prev is not None and point <= prev:
                 raise ValueError("exception table must be sorted by point")
             prev = point
-            if not self.carrier.contains(point):
-                raise ValueError(f"exception point {point} outside the carrier grid")
+            _require_in_carrier(self.carrier, point)
             if not 0 <= v < self.modulus:
                 raise ValueError(f"exception value at {point} out of range")
             if v == self.default:
@@ -148,13 +155,31 @@ class GridFun:
 
     @classmethod
     def make(cls, carrier, modulus, default=0, exceptions=None) -> "GridFun":
+        """Reducing modulo k, dropping the defaults and sorting leave one
+        fact of the invariant to check: each point lies in the carrier grid.
+        It is checked once, in sorted order, so the least bad point is
+        named, and the construction checks are not run again."""
         default %= modulus
         table = {}
         for point, v in (exceptions or {}).items():
             v %= modulus
             if v != default:
                 table[tuple(point)] = v
-        return cls(carrier, modulus, default, tuple(sorted(table.items())))
+        if modulus < 2:
+            raise ValueError("modulus must be at least 2")
+        exceptions = tuple(sorted(table.items()))
+        for point, _ in exceptions:
+            _require_in_carrier(carrier, point)
+        self = object.__new__(cls)
+        for name, value in (
+            ("carrier", carrier),
+            ("modulus", modulus),
+            ("default", default),
+            ("exceptions", exceptions),
+            ("_table", table),
+        ):
+            object.__setattr__(self, name, value)
+        return self
 
     def value(self, point) -> int:
         return self._table.get(point, self.default)

@@ -242,15 +242,25 @@ def evc_to_doc(f: EvcFun) -> dict:
     return {"prefix": list(f.prefix), "tail": f.tail}
 
 
-def evc_from_doc(doc, where: str = "function") -> EvcFun:
+def _evc_key(doc, where: str) -> tuple:
+    """(prefix, tail) of a function document whose values are checked to be
+    integers, so a JSON ``true`` never stands for 1 in a key."""
     prefix = _need(doc, "prefix", where, list)
     tail = _integer(_need(doc, "tail", where), where, 'key "tail"')
     if any(type(v) is not int for v in prefix):
         _fail(where, "prefix values must be integers")
+    return tuple(prefix), tail
+
+
+def _evc_of(key: tuple, where: str) -> EvcFun:
     try:
-        return EvcFun.of(prefix, tail)
+        return EvcFun.of(*key)
     except ValueError as err:
         _fail(where, str(err))
+
+
+def evc_from_doc(doc, where: str = "function") -> EvcFun:
+    return _evc_of(_evc_key(doc, where), where)
 
 
 def _gridfun_to_doc(phi: GridFun) -> dict:
@@ -322,13 +332,23 @@ def tree_to_doc(t: TreeInstance) -> dict:
 
 
 def tree_from_doc(doc, where: str = "tree") -> TreeInstance:
+    """Ladders repeat most rungs, so each distinct function of the document
+    is built once; every rung is still checked where it stands."""
     modulus = _modulus(doc, where)
+    built = {}
+
+    def evc(fun, fw):
+        key = _evc_key(fun, fw)
+        if key not in built:
+            built[key] = _evc_of(key, fw)
+        return built[key]
+
     stages = []
     for i, stage in enumerate(_need(doc, "stages", where, list)):
         sw = f"{where}.stages[{i}]"
-        outlier = evc_from_doc(_need(stage, "outlier", sw), f"{sw}.outlier")
+        outlier = evc(_need(stage, "outlier", sw), f"{sw}.outlier")
         ladder = [
-            evc_from_doc(r, f"{sw}.ladder[{n}]")
+            evc(r, f"{sw}.ladder[{n}]")
             for n, r in enumerate(_need(stage, "ladder", sw, list))
         ]
         points = _need(stage, "points", sw, list)

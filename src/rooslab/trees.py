@@ -10,7 +10,10 @@ up to a finite prefix, two branches that split at a stage keep a certified,
 recheckable set of cells where their colourings must differ — everything
 here is finite data with explicit bounds, never a claim about the
 unmaterialized tails.  Each instance is checked once: ``validate_tree``
-stores its verdict on the immutable instance.
+stores its verdict on the immutable instance.  The check is linear in the
+rungs on a valid stage: on a rising ladder, prefix containment holds
+exactly when rung m-1 misses point m for every m, and the pairwise scan
+that names each breach runs only when that test fails or the ladder falls.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ def validate_tree(t: TreeInstance) -> TreeReport:
     rung: ladders weakly increase, outliers escape every rung cofinally,
     points sit in the outlier grid minus the rung grid and inside the base
     colouring's carrier, no stage repeats a point, and a stage's points hit
-    rung n's grid only among the first n picks (prefix containment). Stored
-    on the instance."""
+    rung n's grid only among the first n picks (prefix containment). The
+    violations come in that order for each stage, and each rung's prefix
+    breaches follow its own checks. Stored on the instance."""
     if t._report is not None:
         return t._report
     bad = []
@@ -71,29 +75,39 @@ def validate_tree(t: TreeInstance) -> TreeReport:
     sizes = {len(s.ladder) for s in t.stages}
     if len(sizes) > 1:
         bad.append(f"stages disagree on ladder length: {sorted(sizes)}")
+    carrier = t.base.carrier
     for a, s in enumerate(t.stages):
-        if len(s.points) != len(s.ladder):
-            bad.append(
-                f"stage {a}: {len(s.points)} points for {len(s.ladder)} rungs"
-            )
+        ladder, points, outlier = s.ladder, s.points, s.outlier
+        if len(points) != len(ladder):
+            bad.append(f"stage {a}: {len(points)} points for {len(ladder)} rungs")
             continue
-        for n in range(len(s.ladder) - 1):
-            if not evc_compare(s.ladder[n], s.ladder[n + 1]).leq_everywhere:
+        rises = True
+        for n in range(len(ladder) - 1):
+            low, high = ladder[n], ladder[n + 1]
+            if low != high and not evc_compare(low, high).leq_everywhere:
                 bad.append(f"stage {a}: ladder decreases at rung {n}")
-        if len(set(s.points)) != len(s.points):
+                rises = False
+        if len(set(points)) != len(points):
             bad.append(f"stage {a}: repeated points")
-        for n, rung in enumerate(s.ladder):
-            if evc_compare(s.outlier, rung).leq_star:
+        # On a rising ladder rung n's grid lies inside rung m-1's for n < m,
+        # so no earlier rung reaches point m when rung m-1 misses it.
+        nested = rises and not any(
+            ladder[m - 1].contains(points[m]) for m in range(1, len(points))
+        )
+        for n, rung in enumerate(ladder):
+            if outlier.tail <= rung.tail:
                 bad.append(f"stage {a}, rung {n}: rung eventually dominates the outlier")
-            x = s.points[n]
-            if not s.outlier.contains(x):
+            x = points[n]
+            if not outlier.contains(x):
                 bad.append(f"stage {a}, rung {n}: point {x} outside the outlier grid")
             if rung.contains(x):
                 bad.append(f"stage {a}, rung {n}: point {x} inside the rung grid")
-            if not t.base.carrier.contains(x):
+            if not carrier.contains(x):
                 bad.append(f"stage {a}, rung {n}: point {x} outside the base carrier")
-            for m in range(n + 1, len(s.points)):
-                if rung.contains(s.points[m]):
+            if nested:
+                continue
+            for m in range(n + 1, len(points)):
+                if rung.contains(points[m]):
                     bad.append(
                         f"stage {a}, rung {n}: point {m} breaks the prefix containment"
                     )

@@ -675,6 +675,33 @@ def test_malformed_documents_exit_two_with_one_line(tmp_path, capsys, kind, wher
     assert says in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "before,rung,says",
+    [
+        ({"prefix": [1], "tail": 0}, {"prefix": [True], "tail": 0},
+         "prefix values must be integers"),
+        ({"prefix": [0, 1], "tail": 0}, {"prefix": [False, 1], "tail": 0},
+         "prefix values must be integers"),
+        ({"prefix": [2], "tail": 1}, {"prefix": [2], "tail": True},
+         'key "tail" is not an integer: True'),
+        ({"prefix": [1], "tail": 0}, {"prefix": [-1], "tail": 0}, "values must be naturals"),
+        ({"prefix": [], "tail": 1}, {"prefix": [], "tail": -1}, "values must be naturals"),
+    ],
+    ids=["true-prefix", "false-prefix", "true-tail", "negative-prefix", "negative-tail"],
+)
+def test_repeated_rung_is_checked_where_it_stands(tmp_path, capsys, before, rung, says):
+    """A rung that equals the one before it in Python (``True == 1``) but not
+    in JSON is still rejected, and the error names that rung."""
+    path = str(tmp_path / "tree.json")
+    doc = tree_to_doc(random_tree_instance(random.Random(2), rungs=4))
+    doc["stages"][0]["ladder"][1:3] = [before, rung]
+    write_document(doc, path)
+    assert main(["tree", "separate", "--instance", path, "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: tree.stages[0].ladder[2]: {says}\n"
+
+
 def test_make_a_command(tmp_path, capsys):
     out_path = str(tmp_path / "a.json")
     argv = ["make-a", "--functions", "2,1;1,2;2,2", "--ring", "Z", "--out", out_path]

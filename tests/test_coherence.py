@@ -98,12 +98,60 @@ def test_gridfun_validation():
         GridFun(f, 2, 0, (((1, 0), 1), ((0, 0), 1)))
     with pytest.raises(ValueError, match="modulus"):
         GridFun(f, 1, 0)
+    with pytest.raises(ValueError, match="sorted"):
+        GridFun(f, 2, 0, (((0, 0), 1), ((0, 0), 1)))
+    with pytest.raises(ValueError, match=r"value at \(0, 1\) out of range"):
+        GridFun(f, 2, 0, (((0, 1), 2),))
+    with pytest.raises(ValueError, match="default value out of range"):
+        GridFun(f, 2, 2)
+    # make checks its one remaining fact in sorted order: the least bad
+    # point is named, whatever order the mapping lists them in.
+    with pytest.raises(ValueError, match=r"point \(1, 5\) outside the carrier"):
+        GridFun.make(f, 2, 0, {(3, 0): 1, (0, 0): 1, (1, 5): 1})
+    with pytest.raises(ValueError, match="modulus"):
+        GridFun.make(f, 1, 0, {(0, 0): 1})
     phi = GridFun.make(f, 2, 0, {(0, 0): 3, (0, 1): 2})
     assert phi.exceptions == (((0, 0), 1),)  # 3 reduced, 2 dropped as default
     assert phi.value((0, 0)) == 1 and phi.value((1, 0)) == 0
     bumped = phi.shifted([(1, 0), (1, 0)], amount=1)
     assert bumped.value((1, 0)) == 0  # two bumps cancel mod 2
     assert phi.shifted([(1, 0)]).value((1, 0)) == 1
+
+
+def _make_reference(carrier, modulus, default, exceptions):
+    """GridFun.make as it was: canonicalize, then every construction check."""
+    default %= modulus
+    table = {}
+    for point, v in exceptions.items():
+        v %= modulus
+        if v != default:
+            table[tuple(point)] = v
+    return GridFun(carrier, modulus, default, tuple(sorted(table.items())))
+
+
+def _outcome(build, *args):
+    try:
+        phi = build(*args)
+    except ValueError as err:
+        return str(err)
+    return phi, phi.table(), [phi.value((i, j)) for i in range(6) for j in range(6)]
+
+
+def test_make_matches_the_fully_checked_construction():
+    rng = random.Random(405)
+    errors = 0
+    for _ in range(400):
+        f = random_evc_fun(rng, tails=(0, 1, 2))
+        modulus = rng.choice((1, 2, 3, 5))
+        table = {
+            (rng.randrange(7), rng.randrange(4)): rng.randrange(-6, 7)
+            for _ in range(rng.randrange(6))
+        }
+        default = rng.randrange(-3, 4)
+        want = _outcome(_make_reference, f, modulus, default, table)
+        assert _outcome(GridFun.make, f, modulus, default, table) == want
+        errors += isinstance(want, str)
+    assert 100 <= errors <= 300
 
 
 def test_family_validation():

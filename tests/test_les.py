@@ -24,6 +24,8 @@ from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors, 
 from rooslab.orders import QuasiOrder
 from rooslab.systems import InverseSystem, SystemSES, core_elements, validate_ses
 
+from unimodular import conjugated_ses
+
 
 def _constant(q, ring, rank):
     ident = IntMatrix.identity(rank)
@@ -231,6 +233,22 @@ def test_random_coupled_ses():
         rep = les_of_ses(random_ses(rng, split=False), 2)
         assert rep.ok
         assert len(rep.positions) == 4 * 9
+
+
+def test_les_does_not_depend_on_the_middle_basis():
+    # random_ses draws coordinate maps; a unimodular change of the middle
+    # at each index element gives an isomorphic sequence, whose long exact
+    # sequence must be exact with the same groups and the same ranks.
+    rng = random.Random(5454)
+    basis = random.Random(5455)
+    for ring in (Ring.integers(), Ring.modular(6)):
+        for draw in range(4):
+            e = random_ses(rng, split=draw % 2 == 0, ring=ring)
+            c = conjugated_ses(e, basis)
+            rep, moved = les_of_ses(e, 2), les_of_ses(c, 2)
+            assert moved.ok
+            assert moved.groups == rep.groups
+            assert moved.positions == rep.positions
 
 
 def test_groups_match_degenerate_derived_limits():

@@ -23,6 +23,8 @@ from rooslab.systems import (
     validate_system,
 )
 
+from unimodular import conjugated_ses, unimodular
+
 
 def _cospan_times_two():
     q = QuasiOrder(["x", "y", "z"], [("x", "y"), ("x", "z")])
@@ -346,6 +348,23 @@ def test_random_ses_generator_is_valid():
         assert rep.ok, rep.violations
 
 
+def test_validate_ses_accepts_a_middle_in_any_basis():
+    rng = random.Random(607)
+    basis = random.Random(608)
+    for n in range(6):
+        u, inv = unimodular(basis, n)
+        assert u @ inv == IntMatrix.identity(n) == inv @ u
+    moved = 0
+    for ring in (Ring.integers(), Ring.modular(2), Ring.modular(6)):
+        for _ in range(10):
+            e = random_ses(rng, split=rng.random() < 0.5, ring=ring)
+            c = conjugated_ses(e, basis)
+            rep = validate_ses(c)
+            assert rep.ok, rep.violations
+            moved += any(c.inject[k] != e.inject[k] for k in e.inject)
+    assert moved >= 25
+
+
 def _ses_reference(e):
     """The levelwise check as it was before each map was reduced once: three
     ``cohomology_at`` calls per index element, on every ring."""
@@ -400,18 +419,21 @@ def _ses_reference(e):
 
 
 def _ses_draws(ring, count, seed):
-    """Seeded random sequences over ``ring``, each followed by three broken
-    copies: inject zeroed, project doubled, inject doubled."""
+    """Seeded random sequences over ``ring`` and their middles in a seeded
+    unimodular basis, each followed by three broken copies: inject zeroed,
+    project doubled, inject doubled."""
     rng = random.Random(seed)
+    basis = random.Random(seed + 1)
     for _ in range(count):
-        e = random_ses(rng, max_rank=3, split=rng.random() < 0.5, ring=ring)
-        yield e
-        for inject, project in (
-            ({k: IntMatrix.zeros(*m.shape) for k, m in e.inject.items()}, e.project),
-            (e.inject, {k: m.scale(2) for k, m in e.project.items()}),
-            ({k: m.scale(2) for k, m in e.inject.items()}, e.project),
-        ):
-            yield SystemSES(sub=e.sub, mid=e.mid, quot=e.quot, inject=inject, project=project)
+        drawn = random_ses(rng, max_rank=3, split=rng.random() < 0.5, ring=ring)
+        for e in (drawn, conjugated_ses(drawn, basis)):
+            yield e
+            for inject, project in (
+                ({k: IntMatrix.zeros(*m.shape) for k, m in e.inject.items()}, e.project),
+                (e.inject, {k: m.scale(2) for k, m in e.project.items()}),
+                ({k: m.scale(2) for k, m in e.inject.items()}, e.project),
+            ):
+                yield SystemSES(sub=e.sub, mid=e.mid, quot=e.quot, inject=inject, project=project)
 
 
 KINDS = ("inject not injective", "project not surjective", "not exact at middle")

@@ -1,6 +1,7 @@
 """Tree instances: pick rule, branch states, separation certificates."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from rooslab.coherence import EvcFun, GridFun
 from rooslab.gen import random_tree_instance
 from rooslab.trees import (
     TreeInstance,
+    TreeReport,
     TreeStage,
     basecase_tree,
     branch_separation,
@@ -205,3 +207,124 @@ def test_branch_separation_certificates_random():
 def test_build_tree_rejects_dominated_outlier():
     with pytest.raises(ValueError, match="dominates|invalid tree"):
         build_tree([(EvcFun.of([5]), (EvcFun.of([], tail=1),))])
+
+
+def _inside(f, x):
+    i, j = x
+    return i >= 0 and 0 <= j < f.value(i)
+
+
+def _below_everywhere(f, g):
+    span = max(len(f.prefix), len(g.prefix))
+    return f.tail <= g.tail and all(f.value(i) <= g.value(i) for i in range(span))
+
+
+def _validate_tree_reference(t):
+    """The quadratic check as it was before the linear verdict: an
+    everywhere scan per ladder step, a tail comparison per rung, and every
+    later point tested against every rung."""
+    bad = []
+    if t.length != len(t.stages):
+        bad.append(f"length {t.length} does not match {len(t.stages)} stages")
+    sizes = {len(s.ladder) for s in t.stages}
+    if len(sizes) > 1:
+        bad.append(f"stages disagree on ladder length: {sorted(sizes)}")
+    for a, s in enumerate(t.stages):
+        if len(s.points) != len(s.ladder):
+            bad.append(f"stage {a}: {len(s.points)} points for {len(s.ladder)} rungs")
+            continue
+        for n in range(len(s.ladder) - 1):
+            if not _below_everywhere(s.ladder[n], s.ladder[n + 1]):
+                bad.append(f"stage {a}: ladder decreases at rung {n}")
+        if len(set(s.points)) != len(s.points):
+            bad.append(f"stage {a}: repeated points")
+        for n, rung in enumerate(s.ladder):
+            if s.outlier.tail <= rung.tail:
+                bad.append(f"stage {a}, rung {n}: rung eventually dominates the outlier")
+            x = s.points[n]
+            if not _inside(s.outlier, x):
+                bad.append(f"stage {a}, rung {n}: point {x} outside the outlier grid")
+            if _inside(rung, x):
+                bad.append(f"stage {a}, rung {n}: point {x} inside the rung grid")
+            if not _inside(t.base.carrier, x):
+                bad.append(f"stage {a}, rung {n}: point {x} outside the base carrier")
+            for m in range(n + 1, len(s.points)):
+                if _inside(rung, s.points[m]):
+                    bad.append(
+                        f"stage {a}, rung {n}: point {m} breaks the prefix containment"
+                    )
+    return TreeReport(not bad, tuple(bad))
+
+
+def _mutants(t, rng):
+    """Broken copies of a valid instance, one per kind: swapped points, a
+    replaced point, swapped rungs (a falling ladder when they differ), a
+    dropped point, and a stage one rung short (a ladder-length mismatch)."""
+    a = rng.randrange(t.length)
+    s = t.stages[a]
+    size = len(s.ladder)
+
+    def with_stage(ladder, points):
+        stages = list(t.stages)
+        stages[a] = TreeStage(s.outlier, ladder, points)
+        return TreeInstance(t.length, stages, t.base)
+
+    n, m = sorted(rng.sample(range(size), 2))
+    points = list(s.points)
+    points[n], points[m] = points[m], points[n]
+    yield "swapped points", with_stage(s.ladder, points)
+    points = list(s.points)
+    points[n] = (rng.randrange(8), rng.randrange(5))
+    yield "replaced point", with_stage(s.ladder, points)
+    ladder = list(s.ladder)
+    ladder[n], ladder[m] = ladder[m], ladder[n]
+    yield "swapped rungs", with_stage(ladder, s.points)
+    yield "dropped point", with_stage(s.ladder, s.points[:n] + s.points[n + 1:])
+    yield "short stage", with_stage(s.ladder[:-1], s.points[:-1])
+
+
+KINDS = (
+    "decreases",
+    "prefix containment",
+    "inside the rung grid",
+    "outside the outlier grid",
+    "outside the base carrier",
+    "repeated points",
+    "points for",
+    "disagree on ladder length",
+)
+
+
+def test_linear_tree_verdict_matches_the_quadratic_reference():
+    rng = random.Random(905)
+    drawn = mutants = 0
+    kinds = Counter()
+    while drawn < 320 or mutants < 3200:
+        t = random_tree_instance(rng, max_stages=3, rungs=rng.choice((2, 3, 4, 8, 16)))
+        want = _validate_tree_reference(t)
+        assert want.ok and validate_tree(t) == want
+        drawn += 1
+        for _ in range(2):
+            for kind, broken in _mutants(t, rng):
+                want = _validate_tree_reference(broken)
+                assert validate_tree(broken) == want, kind
+                mutants += 1
+                kinds.update(k for v in want.violations for k in KINDS if k in v)
+    assert all(kinds[k] >= 50 for k in KINDS), kinds
+
+
+def test_valid_stage_costs_a_few_contains_per_rung(monkeypatch):
+    calls = [0]
+    contains = EvcFun.contains
+
+    def counted(self, point):
+        calls[0] += 1
+        return contains(self, point)
+
+    monkeypatch.setattr(EvcFun, "contains", counted)
+    rng = random.Random(906)
+    for _ in range(20):
+        t = random_tree_instance(rng, max_stages=1, rungs=16)
+        calls[0] = 0
+        assert validate_tree(t).ok
+        assert calls[0] <= 4 * 16
