@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -146,6 +147,8 @@ def _value(value) -> str:
         return "true" if value else "false"
     if kind is int:
         return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 

@@ -27,6 +27,12 @@ normalized complex is far smaller. ``build_complex`` with its default
 quasi-order; on the system as given it is the independent oracle route the
 tests compare against, and the complex ``contract`` needs.
 
+A call pays for what the core holds. The restriction copies ranks and
+bonds without checking them again, ``build_complex`` enumerates the tuples
+of every degree in one pass (``orders.chains_upto``), and a degree of
+dimension zero costs no product in the identity check and no reduction in
+``cohomology_at``. On a one-point core every degree above 0 is zero.
+
 Over Z, ``RoosComplex.cohomology`` reads H^n from the invariant factors of
 d_n and d_{n+1}, which the complex computes once per differential and
 keeps, so reading several degrees reduces each differential once. Over Z/m
@@ -41,7 +47,7 @@ the same kernel from the equalizer description as an independent route.
 from __future__ import annotations
 
 from .linalg import GroupInvariants, IntMatrix, Ring, cohomology_at, invariant_factors
-from .orders import QuasiOrder, chains, face
+from .orders import QuasiOrder, chains_upto, face
 from .systems import InvalidSystemError  # noqa: F401  (importable from here too)
 from .systems import InverseSystem, core_elements, require_functorial
 
@@ -62,7 +68,9 @@ class RoosComplex:
     faces 1..n, accumulating where faces coincide. ``diffs[n]`` is the
     matrix of the differential from degree n-1 into degree n, with
     ``diffs[0]`` a zero-column matrix. The complex identity (consecutive
-    differentials compose to zero over the ring) is verified at construction.
+    differentials compose to zero over the ring) is verified at construction,
+    by a product wherever the three degrees it spans are all nonzero; any
+    other composite is a zero matrix by its shape.
     Over Z, the invariant factors of each differential are computed on the
     first ``cohomology`` call that needs them and kept (``_factors``).
     """
@@ -110,8 +118,11 @@ class RoosComplex:
                         rows[row_off + i][col_off + i] += sign
             diffs.append(IntMatrix._trusted(rows, totals[n - 1]))
         for n in range(1, n_max):
-            if not ring.is_zero_matrix(diffs[n + 1] @ diffs[n]):
-                raise ValueError(f"complex identity fails between degrees {n - 1}..{n + 1}")
+            # With C^{n-1}, C^n or C^{n+1} zero the product has an empty side
+            # or an empty inner sum: it is zero by its shape.
+            if totals[n - 1] and totals[n] and totals[n + 1]:
+                if not ring.is_zero_matrix(diffs[n + 1] @ diffs[n]):
+                    raise ValueError(f"complex identity fails between degrees {n - 1}..{n + 1}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
@@ -166,7 +177,8 @@ class RoosComplex:
 
 def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosComplex:
     """The complex of s over its weakly (or, with ``strict``, strictly)
-    increasing tuples: face 0 of t carries bond(t0, t1), face i deletes entry i.
+    increasing tuples, enumerated once for degrees 0..n_max: face 0 of t
+    carries bond(t0, t1), face i deletes entry i.
 
     Raises :class:`InvalidSystemError` on a non-functorial system; for one
     checked already, or restricted from one that passed, that is a lookup.
@@ -174,7 +186,7 @@ def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosCom
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     require_functorial(s)
-    blocks = [chains(s.index, n, strict=strict) for n in range(n_max + 1)]
+    blocks = chains_upto(s.index, n_max, strict=strict)
     block_ranks = [[s.rank(t[0]) for t in blocks[n]] for n in range(n_max + 1)]
     faces = lambda t: (s.bond(t[0], t[1]), [face(t, k) for k in range(len(t))])
     return RoosComplex(s.ring, blocks, block_ranks, faces, strict=strict, system=s)

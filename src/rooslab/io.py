@@ -72,7 +72,8 @@ def _matrix_from_doc(rows, nrows, ncols, where) -> IntMatrix:
         _fail(where, "matrix must be a list of rows")
     for r in rows:
         for x in r:
-            _integer(x, where, "matrix entry")
+            if type(x) is not int:
+                _integer(x, where, "matrix entry")
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         got = (len(rows), len(rows[0]) if rows else ncols)
         _fail(where, f"matrix shape {got} does not match expected {(nrows, ncols)}")
@@ -283,8 +284,13 @@ def _gridfun_from_doc(doc, modulus: int, where: str) -> GridFun:
             and len(entry[0]) == 2
         ):
             _fail(where, f"exception entry {entry!r} is not [[column, row], value]")
-        cell = tuple(_integer(c, where, f"exceptions[{k}] cell coordinate") for c in entry[0])
-        table[cell] = _integer(entry[1], where, f"exceptions[{k}] value")
+        cell, value = entry
+        for c in cell:
+            if type(c) is not int:
+                _integer(c, where, f"exceptions[{k}] cell coordinate")
+        if type(value) is not int:
+            _integer(value, where, f"exceptions[{k}] value")
+        table[tuple(cell)] = value
     try:
         return GridFun.make(carrier, modulus, default, table)
     except ValueError as err:
@@ -356,7 +362,8 @@ def tree_from_doc(doc, where: str = "tree") -> TreeInstance:
             if not (isinstance(p, list) and len(p) == 2):
                 _fail(sw, f"point {p!r} is not a [column, row] pair")
             for c in p:
-                _integer(c, sw, f"points[{k}] coordinate")
+                if type(c) is not int:
+                    _integer(c, sw, f"points[{k}] coordinate")
         stages.append(TreeStage(outlier, ladder, points))
     base = _gridfun_from_doc(_need(doc, "base", where), modulus, f"{where}.base")
     t = TreeInstance(len(stages), stages, base)

@@ -137,7 +137,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._trusted([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        zero = (0,) * n
+        return cls._trusted([zero[:i] + (1,) + zero[i + 1 :] for i in range(n)], n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -599,13 +600,16 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
     into the kernel of [d_out | m I]; that lifted pair composes to exactly
     zero over Z and has the same subquotient, so the formula applies to it.
     [d_out | m I] has full row rank, so only the lifted relations are
-    reduced.
+    reduced. A zero ambient module gives the trivial group at once.
     """
     if d_out.ncols != d_in.nrows:
         raise ShapeMismatchError(
             f"ambient rank mismatch: d_out has {d_out.ncols} columns, "
             f"d_in has {d_in.nrows} rows"
         )
+    if d_in.nrows == 0:
+        # A subquotient of the zero module; d_out * d_in is an empty sum.
+        return GroupInvariants.trivial()
     composite = d_out @ d_in
     if not ring.is_zero_matrix(composite):
         raise CompositionNotZeroError("d_out * d_in is nonzero over " + ring.render())

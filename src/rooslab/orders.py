@@ -5,9 +5,15 @@ pairs; antisymmetry is never required, so distinct equivalent elements
 (x <= y <= x) are legal throughout. Index tuples are plain Python tuples of
 element labels, weakly increasing under leq; ``face(t, i)`` deletes entry i.
 
-Enumeration order matters: ``chains`` lists tuples lexicographically by the
-position of elements in the user-supplied element list, and that order fixes
-the row/column layout of every differential matrix downstream.
+Enumeration order matters: ``chains_upto`` lists tuples lexicographically
+by the position of elements in the user-supplied element list, and that order
+fixes the row/column layout of every differential matrix downstream. It builds
+every degree up to the one asked for in one pass, each from the one below;
+``chains`` is its top degree.
+
+``QuasiOrder.restrict`` reads the induced relation off the stored one: the
+restriction of a reflexive-transitive relation is reflexive and transitive
+already, so no closure is recomputed.
 """
 
 from __future__ import annotations
@@ -44,9 +50,12 @@ class QuasiOrder:
                 if len(grown) != len(up[i]):
                     up[i] = grown
                     changed = True
+        self._set(elements, pos, tuple(frozenset(s) for s in up))
+
+    def _set(self, elements: tuple, pos: dict, up: tuple) -> None:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_up", tuple(frozenset(s) for s in up))
+        object.__setattr__(self, "_up", up)
 
     def __setattr__(self, *_):
         raise AttributeError("QuasiOrder is immutable")
@@ -87,13 +96,12 @@ class QuasiOrder:
 
     def related_pairs(self, include_diagonal: bool = False):
         """Ordered pairs (a, b) with a <= b, in lexicographic position order."""
-        out = []
-        for i, a in enumerate(self.elements):
-            for j in sorted(self._up[i]):
-                if i == j and not include_diagonal:
-                    continue
-                out.append((a, self.elements[j]))
-        return out
+        return [
+            (a, b)
+            for a, up in self.up_sets().items()
+            for b in up
+            if include_diagonal or a != b
+        ]
 
     def is_directed(self) -> bool:
         for i in range(len(self.elements)):
@@ -123,9 +131,24 @@ class QuasiOrder:
         return all(any(j in self._up[i] for j in idx) for i in range(len(self.elements)))
 
     def restrict(self, subset) -> "QuasiOrder":
-        keep = [e for e in self.elements if e in set(subset)]
-        pairs = [(a, b) for a in keep for b in keep if self.leq(a, b)]
-        return QuasiOrder(keep, pairs)
+        """The induced suborder on the elements of ``subset``, in this
+        order's element order; labels it does not know are ignored."""
+        wanted = set(subset)
+        kept = [i for i, e in enumerate(self.elements) if e in wanted]
+        new = {i: k for k, i in enumerate(kept)}
+        elements = tuple(self.elements[i] for i in kept)
+        out = object.__new__(QuasiOrder)
+        out._set(
+            elements,
+            {e: k for k, e in enumerate(elements)},
+            tuple(frozenset(new[j] for j in self._up[i] if j in new) for i in kept),
+        )
+        return out
+
+    def up_sets(self) -> dict:
+        """Each element's up-set {b : e <= b}, e included, in position order."""
+        at = self.elements.__getitem__
+        return {e: tuple(map(at, sorted(up))) for e, up in zip(self.elements, self._up)}
 
     def equivalence_classes(self):
         """Classes of mutually related elements, each in user order.
@@ -145,34 +168,32 @@ class QuasiOrder:
         return out
 
 
-def chains(q: QuasiOrder, n: int, strict: bool = False):
-    """All weakly increasing (n+1)-tuples of q, lexicographic by position.
+def chains_upto(q: QuasiOrder, n_max: int, strict: bool = False) -> list:
+    """All weakly increasing tuples of lengths 1..n_max+1: entry n lists the
+    (n+1)-tuples, lexicographic by position.
 
-    With ``strict`` (partial orders only), consecutive entries must be
-    strictly increasing, which excludes every degenerate tuple.
+    Degree n extends each degree-(n-1) tuple by the successors of its last
+    entry in position order, so the order of degree n-1 carries over. With
+    ``strict`` (partial orders only), consecutive entries must be strictly
+    increasing, which excludes every degenerate tuple.
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+    if n_max < 0:
+        raise ValueError(f"degree must be >= 0, got {n_max}")
     if strict and not q.is_partial():
         raise ValueError("strict tuple enumeration requires a partial order")
-    elems = q.elements
-    m = len(elems)
-    succ = []
-    for i in range(m):
-        nxt = [j for j in range(m) if q.leq(elems[i], elems[j])]
-        if strict:
-            nxt = [j for j in nxt if j != i]
-        succ.append(sorted(nxt))
-    out = []
-    stack = [(i,) for i in reversed(range(m))]
-    while stack:
-        t = stack.pop()
-        if len(t) == n + 1:
-            out.append(tuple(elems[i] for i in t))
-        else:
-            for j in reversed(succ[t[-1]]):
-                stack.append(t + (j,))
+    succ = q.up_sets()
+    if strict:
+        succ = {e: tuple(b for b in up if b != e) for e, up in succ.items()}
+    out = [[(e,) for e in q.elements]]
+    for _ in range(n_max):
+        out.append([t + (b,) for t in out[-1] for b in succ[t[-1]]])
     return out
+
+
+def chains(q: QuasiOrder, n: int, strict: bool = False) -> list:
+    """All weakly (with ``strict``, strictly) increasing (n+1)-tuples of q,
+    lexicographic by position: degree n of ``chains_upto``."""
+    return chains_upto(q, n, strict)[n]
 
 
 def face(t: tuple, i: int) -> tuple:

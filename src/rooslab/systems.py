@@ -96,11 +96,14 @@ class InverseSystem:
             for a, b in zip(path[1:], path[2:]):
                 m = m @ declared[(a, b)]
             full[(lam, mu)] = m
+        self._set(index, ring, ranks, full, None)
+
+    def _set(self, index, ring, ranks, bonds, report) -> None:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ranks", MappingProxyType(dict(ranks)))
-        object.__setattr__(self, "_bonds", full)
-        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_bonds", bonds)
+        object.__setattr__(self, "_report", report)
 
     @staticmethod
     def _bfs_path(src, dst, neighbors):
@@ -152,17 +155,21 @@ class InverseSystem:
         return dict(self._bonds)
 
     def restrict(self, subset) -> "InverseSystem":
+        """The system over the suborder on ``subset`` (labels the index does
+        not know are ignored): this system's ranks and the bonds of the kept
+        pairs, copied. Nothing is rechecked, since the constructor checked
+        every label, rank, shape and diagonal of this system already, and
+        the result equals the system the constructor would build from them.
+        A passing ``validate_system`` verdict is kept too: every bond and
+        triple of the restriction is one of this system's, so a functorial
+        system restricts to a functorial one."""
         sub = self.index.restrict(subset)
-        ranks = {e: self.ranks[e] for e in sub.elements}
-        bonds = {
-            (a, b): self._bonds[(a, b)]
-            for (a, b) in sub.related_pairs(include_diagonal=True)
-        }
-        out = InverseSystem(sub, self.ring, ranks, bonds)
-        if self._report is not None and self._report.ok:
-            # Every bond and triple of the restriction is one of this
-            # system's, so a functorial system restricts to a functorial one.
-            object.__setattr__(out, "_report", self._report)
+        bonds = {(e, e): self._bonds[(e, e)] for e in sub.elements}
+        for pair in sub.related_pairs():
+            bonds[pair] = self._bonds[pair]
+        report = self._report if self._report is not None and self._report.ok else None
+        out = object.__new__(InverseSystem)
+        out._set(sub, self.ring, {e: self.ranks[e] for e in sub.elements}, bonds, report)
         return out
 
 
@@ -179,19 +186,21 @@ def validate_system(s: InverseSystem) -> SystemReport:
         return s._report
     violations = []
     ring = s.ring
-    leq = s.index.leq
-    elems = s.index.elements
-    # The constructor makes every diagonal bond exactly the identity, so a
-    # triple with lam == mu or mu == nu composes to the other bond verbatim.
-    for lam in elems:
-        for mu in elems:
-            if mu == lam or not leq(lam, mu):
+    bonds = s._bonds
+    # Up-sets in position order visit the triples lam <= mu <= nu in the
+    # order of a loop over all three. The constructor makes every diagonal
+    # bond exactly the identity, so a triple with lam == mu or mu == nu
+    # composes to the other bond verbatim.
+    up = s.index.up_sets()
+    for lam in s.index.elements:
+        for mu in up[lam]:
+            if mu == lam:
                 continue
-            first = s.bond(lam, mu)
-            for nu in elems:
-                if nu == mu or not leq(mu, nu):
+            first = bonds[(lam, mu)]
+            for nu in up[mu]:
+                if nu == mu:
                     continue
-                if not ring.matrices_equal(first @ s.bond(mu, nu), s.bond(lam, nu)):
+                if not ring.matrices_equal(first @ bonds[(mu, nu)], bonds[(lam, nu)]):
                     violations.append((lam, mu, nu))
     report = SystemReport(ok=not violations, violations=tuple(violations))
     object.__setattr__(s, "_report", report)

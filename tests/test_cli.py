@@ -178,6 +178,7 @@ def _hand_made_reports():
                 "tuple": (1, (2, 3)),
                 "none": None,
                 "flag": False,
+                "ratio": 0.5,
             },
             stats={
                 "seconds": 0.123,
@@ -185,6 +186,13 @@ def _hand_made_reports():
                 "huge": 2.0**200,
                 "negative zero": -0.0,
                 "infinite": float("inf"),
+                "minus infinite": float("-inf"),
+                "not a number": float("nan"),
+                "zero": 0.0,
+                "small": 1e-07,
+                "large": 1e16,
+                "decimal": 123.456,
+                "negative float": -2.5,
                 "big": 2**100,
                 "negative": -7,
                 "yes": True,

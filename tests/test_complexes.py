@@ -24,7 +24,7 @@ from rooslab.gen import (
     random_system,
 )
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, cohomology_at
-from rooslab.orders import QuasiOrder, chains
+from rooslab.orders import QuasiOrder, chains, chains_upto, face
 from rooslab.systems import (
     InverseSystem,
     TruncationSpec,
@@ -446,6 +446,59 @@ def test_kept_invariant_factors_match_cohomology_at():
                 positive += n > 0 and not group.is_trivial
                 torsion += bool(group.torsion)
     assert positive >= 20 and torsion >= 8
+
+
+def test_one_wrong_sign_breaks_the_complex_identity():
+    # A 3-chain with identity bonds, strict tuples: degrees 0..2 have
+    # dimensions 3, 3, 1, so the identity is checked by a product. Negating
+    # the leading block of one tuple makes d_2 d_1 nonzero.
+    q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    blocks = chains_upto(q, 2, strict=True)
+    ranks = [[1] * len(b) for b in blocks]
+    one = IntMatrix([[1]])
+
+    def faces(wrong):
+        def at(t):
+            lead = one.neg() if t == wrong else one
+            return lead, [face(t, k) for k in range(len(t))]
+        return at
+
+    for ring in (Ring.integers(), Ring.modular(3)):
+        cx = RoosComplex(ring, blocks, ranks, faces(None), strict=True)
+        assert cx.total_ranks == (3, 3, 1)
+        for wrong in blocks[1]:
+            with pytest.raises(ValueError, match="complex identity fails between degrees 0..2"):
+                RoosComplex(ring, blocks, ranks, faces(wrong), strict=True)
+
+
+def test_zero_degrees_cost_no_products(monkeypatch):
+    # On a one-point core only degree 0 is nonzero, so the complex identity
+    # needs no product and every positive degree reads the trivial group.
+    products = []
+    mul = IntMatrix.mul
+
+    def counted(a, b):
+        products.append((a.shape, b.shape))
+        return mul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "mul", counted)
+    q = QuasiOrder(["a", "b", "top"], [("a", "top"), ("b", "top")])
+    for ring in (Ring.integers(), Ring.modular(4), Ring.modular(6)):
+        s = InverseSystem(q, ring, {"a": 2, "b": 1, "top": 2},
+                          {("a", "top"): IntMatrix([[1, 0], [0, 2]]),
+                           ("b", "top"): IntMatrix([[3, 1]])})
+        validate_system(s)
+        products.clear()
+        cx = limit_complex(s, 5)
+        assert cx.total_ranks == (2, 0, 0, 0, 0, 0) and products == []
+        for n in range(1, 5):
+            assert cx.cohomology(n).is_trivial
+        assert products == []
+        # The degenerate complex has every degree nonzero: one product per
+        # inner degree.
+        products.clear()
+        cx = limit_complex(s, 4, degenerate=True)
+        assert all(cx.total_ranks) and len(products) == 3
 
 
 def test_cohomology_needs_depth():

@@ -173,6 +173,26 @@ def test_cohomology_shape_mismatch():
         cohomology_at(IntMatrix.zeros(3, 1), IntMatrix.zeros(1, 2), Ring.integers())
 
 
+def test_cohomology_of_a_zero_ambient_is_trivial(monkeypatch):
+    # No reduction runs: the group is trivial once the shapes agree.
+    import rooslab.linalg
+
+    def refuse(m):
+        raise AssertionError("a zero ambient module needs no reduction")
+
+    monkeypatch.setattr(rooslab.linalg, "invariant_factors", refuse)
+    for ring in (Ring.integers(), Ring.modular(4), Ring.modular(6)):
+        for cols in range(3):
+            for rows in range(3):
+                d_in = IntMatrix.zeros(0, cols)
+                d_out = IntMatrix.zeros(rows, 0)
+                assert cohomology_at(d_in, d_out, ring) == GroupInvariants.trivial()
+        with pytest.raises(ShapeMismatchError):
+            cohomology_at(IntMatrix.zeros(0, 2), IntMatrix.zeros(1, 3), ring)
+        with pytest.raises(ShapeMismatchError):
+            cohomology_at(IntMatrix([[1], [2]]), IntMatrix.zeros(1, 0), ring)
+
+
 def test_cohomology_modular_cokernels():
     # Cokernel of multiplication by 2 on Z/4 is Z/2.
     g = cohomology_at(IntMatrix([[2]]), IntMatrix.zeros(0, 1), Ring.modular(4))

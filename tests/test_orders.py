@@ -6,9 +6,11 @@ from itertools import product
 
 import pytest
 
+from rooslab.gen import random_quasi_order
 from rooslab.orders import (
     QuasiOrder,
     chains,
+    chains_upto,
     face,
 )
 
@@ -77,6 +79,78 @@ def test_chains_brute_force_oracle():
             # product() iterates in user order, which is exactly the
             # lexicographic-by-position order chains() promises.
             assert got == expect
+
+
+def _chains_by_depth_first_search(q, n, strict=False):
+    """``chains`` as it was before ``chains_upto``: a depth-first search
+    over successor lists built from ``leq``, one degree per call."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    if strict and not q.is_partial():
+        raise ValueError("strict tuple enumeration requires a partial order")
+    elems = q.elements
+    m = len(elems)
+    succ = []
+    for i in range(m):
+        nxt = [j for j in range(m) if q.leq(elems[i], elems[j])]
+        if strict:
+            nxt = [j for j in nxt if j != i]
+        succ.append(sorted(nxt))
+    out = []
+    stack = [(i,) for i in reversed(range(m))]
+    while stack:
+        t = stack.pop()
+        if len(t) == n + 1:
+            out.append(tuple(elems[i] for i in t))
+        else:
+            for j in reversed(succ[t[-1]]):
+                stack.append(t + (j,))
+    return out
+
+
+def test_chains_upto_matches_the_depth_first_reference():
+    # Random quasi-orders, many with equivalent elements, and their
+    # collapsed partial orders; labels listed in shuffled order so that
+    # position order is not label order.
+    rng = random.Random(1313)
+    equivalences = 0
+    for _ in range(60):
+        q = _random_order(rng, rng.randint(1, 5))
+        labels = list(q.elements)
+        rng.shuffle(labels)
+        q = QuasiOrder(labels, q.related_pairs())
+        equivalences += not q.is_partial()
+        partial = q.restrict([cls[0] for cls in q.equivalence_classes()])
+        for order, strict in ((q, False), (partial, False), (partial, True)):
+            got = chains_upto(order, 5, strict=strict)
+            assert len(got) == 6
+            for n in range(6):
+                want = _chains_by_depth_first_search(order, n, strict=strict)
+                assert got[n] == want
+                assert chains(order, n, strict=strict) == want
+        if not q.is_partial():
+            with pytest.raises(ValueError, match="partial order"):
+                chains_upto(q, 2, strict=True)
+    assert equivalences >= 15
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        chains_upto(QuasiOrder(["p"]), -1)
+
+
+def test_restrict_reads_the_induced_relation():
+    # The restriction read off the closure equals the order the constructor
+    # builds from the induced pairs, also when the subset names labels the
+    # order does not know (they are ignored) or lists labels out of order.
+    rng = random.Random(2718)
+    for _ in range(80):
+        q = random_quasi_order(rng, max_elements=6)
+        subset = rng.sample(q.elements, rng.randint(0, len(q)))
+        subset += rng.sample(["zz", "e9", 7], rng.randint(0, 2))
+        keep = [e for e in q.elements if e in set(subset)]
+        want = QuasiOrder(keep, [(a, b) for a in keep for b in keep if q.leq(a, b)])
+        got = q.restrict(subset)
+        assert got == want and hash(got) == hash(want)
+        assert [got.position(e) for e in keep] == list(range(len(keep)))
+        assert got.related_pairs(include_diagonal=True) == want.related_pairs(True)
 
 
 def test_chain_counts_for_total_orders():

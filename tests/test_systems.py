@@ -228,6 +228,53 @@ def test_restrict_full_and_point():
     assert len(point.index) == 1 and point.rank("x") == 1
 
 
+def _restrict_through_the_constructor(s, subset):
+    """``InverseSystem.restrict`` as it was: the induced pairs closed again
+    by ``QuasiOrder``, every kept bond declared to ``__init__``, and a
+    passing verdict carried over."""
+    keep = [e for e in s.index.elements if e in set(subset)]
+    sub = QuasiOrder(keep, [(a, b) for a in keep for b in keep if s.index.leq(a, b)])
+    ranks = {e: s.ranks[e] for e in sub.elements}
+    bonds = {(a, b): s.bond(a, b) for (a, b) in sub.related_pairs(include_diagonal=True)}
+    out = InverseSystem(sub, s.ring, ranks, bonds)
+    if s._report is not None and s._report.ok:
+        object.__setattr__(out, "_report", s._report)
+    return out
+
+
+def test_restrict_equals_the_constructor_route():
+    # Unchecked, passing and failing systems (one or two bonds replaced),
+    # quasi-orders with equivalences included, restricted to random subsets
+    # that may name unknown labels: the copy equals the rebuilt system, bond
+    # order included, and carries the same verdict.
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(120):
+        s = random_system(rng, max_elements=5, ensure_max=rng.random() < 0.5)
+        bonds = {p: m for p, m in s.bonds().items() if p[0] != p[1]}
+        if bonds and rng.random() < 0.4:
+            for pair in rng.sample(sorted(bonds, key=repr), min(len(bonds), rng.randint(1, 2))):
+                r, c = bonds[pair].shape
+                bonds[pair] = IntMatrix([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)], c)
+            s = InverseSystem(s.index, s.ring, dict(s.ranks), bonds)
+        if rng.random() < 0.7:
+            seen["passing" if validate_system(s).ok else "failing"] += 1
+        else:
+            seen["unchecked"] += 1
+        for _ in range(3):
+            subset = rng.sample(s.index.elements, rng.randint(0, len(s.index)))
+            subset += rng.sample(["zz", "e9"], rng.randint(0, 2))
+            got = s.restrict(subset)
+            want = _restrict_through_the_constructor(s, subset)
+            assert got == want
+            assert list(got.bonds().items()) == list(want.bonds().items())
+            assert got._report is want._report
+            assert validate_system(got) == validate_system(want)
+            with pytest.raises(TypeError):
+                got.ranks["e0"] = 1
+    assert min(seen[k] for k in ("passing", "failing", "unchecked")) >= 15, seen
+
+
 def test_random_systems_are_valid():
     rng = random.Random(5551)
     for _ in range(40):
