@@ -285,6 +285,14 @@ def _cmd_les(args) -> int:
         if not fields:
             raise DocumentError(f"--fields names no field, got {args.fields!r}")
     lrep = les_of_ses(ses, args.max_degree, fields=fields)
+    if not lrep.fields:
+        # Only an explicit list can lose every field: the default fields are
+        # the ones the ring allows.
+        reasons = "; ".join(f"{name}: {reason}" for name, reason in lrep.skipped.items())
+        raise DocumentError(
+            f"--fields names no field the ring {lrep.ring.render()} allows, "
+            f"got {args.fields!r} ({reasons})"
+        )
     report = Report(command=args.echo)
     for (part, n), group in sorted(lrep.groups.items()):
         report.results[f"lim^{n}({part})"] = render_invariants(group)

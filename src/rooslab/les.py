@@ -24,10 +24,17 @@ as extra columns.
 
 Each induced map (f_n into the middle, g_n onto the quotient, and the
 connecting map) is the out-map at one position and the in-map at the next;
-it is ranked once per field and its rank read at both. Zero spaces cost no
-elimination: an echelon form of no rows, a solve with no right-hand sides
-and the cohomology of a zero-dimensional space return at once. On a
-one-point core every cochain space above degree 0 is zero.
+it is ranked once per field and its rank read at both.
+
+The route pays only for the spaces the core carries; on a one-point core
+every cochain space above degree 0 is zero. ``_echelon`` never sees an empty
+list of rows: a rank of no vectors is 0, a cohomology whose neighbouring
+space is zero has no differential to eliminate, and a solve with no rows or
+no right-hand sides has the zero solutions. Every zero-dimensional space
+shares one empty cohomology object. A position whose in-map or out-map is
+empty has a zero composite without a scan, and a cochain-map square whose
+product has no rows or no columns is the same empty matrix on both sides, so
+it is not multiplied. Every check still runs wherever it can fail.
 
 All three systems and both levelwise maps are first restricted to the
 homotopy-final core of the index (``systems.core_elements``: equivalence
@@ -45,6 +52,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .complexes import RoosComplex, build_complex
 from .linalg import IntMatrix, Ring
@@ -122,11 +130,15 @@ class Field:
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict]:
+    if not m.ncols:
+        return [{} for _ in range(m.nrows)]
     return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
 
 def _sparse_cols(m: IntMatrix) -> list[dict]:
     cols = [{} for _ in range(m.ncols)]
+    if not m.nrows:
+        return cols
     for i, row in enumerate(m.rows):
         for j, x in enumerate(row):
             if x:
@@ -178,8 +190,6 @@ def _echelon(field: Field, rows, width) -> tuple[dict, list]:
     other pivot column, and the nonzero rows left with no entry below
     ``width``.
     """
-    if not rows:
-        return {}, []
     norm = field.norm
     rows = [{j: y for j, x in row.items() if (y := norm(x))} for row in rows]
     pivots = {}
@@ -199,15 +209,22 @@ def _echelon(field: Field, rows, width) -> tuple[dict, list]:
     return pivots, [row for row in rows if row]
 
 
+def _pivots(field: Field, rows: list, width) -> dict:
+    """The pivot rows of ``_echelon``; a list of no rows has none."""
+    return _echelon(field, rows, width)[0] if rows else {}
+
+
 def _rank(field: Field, vectors) -> int:
-    return len(_echelon(field, vectors, math.inf)[0])
+    return len(_pivots(field, vectors, math.inf))
 
 
 def _solve(field: Field, rows: list, width: int, rhs: list, what: str) -> list:
     """Solutions x_k of A x_k = rhs[k], free coordinates zero, for the matrix
-    A with sparse ``rows`` and ``width`` columns."""
-    if not rhs:
-        return []
+    A with sparse ``rows`` and ``width`` columns. With no right-hand side
+    there is nothing to solve; with no rows, each right-hand side is the
+    empty vector and x_k = 0."""
+    if not (rows and rhs):
+        return [{} for _ in rhs]
     augmented = [dict(row) for row in rows]
     for k, b in enumerate(rhs):
         for i, x in b.items():
@@ -228,25 +245,21 @@ class _Cohomology:
 
     ``coords`` takes an ambient cocycle (sparse) to its class in the
     coordinates of ``basis``, whose k-th vector, an ambient cocycle, maps to
-    the k-th standard vector.
+    the k-th standard vector. Build one with ``_cohomology``.
     """
 
     __slots__ = ("field", "basis", "_out", "_relations", "_position")
 
     def __init__(self, field: Field, d_out_rows: list, d_in_cols: list, ambient: int):
         self.field = field
-        if not ambient:
-            self.basis, self._out, self._relations, self._position = [], {}, {}, {}
-            return
-        out = _echelon(field, d_out_rows, ambient)[0]
+        out = _pivots(field, d_out_rows, ambient)
         coboundaries = [
             {j: x for j, x in col.items() if j not in out} for col in d_in_cols
         ]
-        relations = _echelon(field, coboundaries, ambient)[0]
+        relations = _pivots(field, coboundaries, ambient)
         classes = [j for j in range(ambient) if j not in out and j not in relations]
-        norm = field.norm
         self.basis = [
-            {q: 1, **{p: norm(-row[q]) for p, row in out.items() if q in row}}
+            {q: 1, **{p: field.norm(-row[q]) for p, row in out.items() if q in row}}
             for q in classes
         ]
         self._out = out
@@ -265,8 +278,16 @@ class _Cohomology:
         return {self._position[j]: x for j, x in w.items()}
 
 
-@dataclass(frozen=True)
-class LesPosition:
+# H^n of a zero-dimensional space, one object for every field: it has no
+# basis, no relations, and its only cocycle, the empty one, has no coordinates.
+_ZERO_COHOMOLOGY = _Cohomology(None, [], [], 0)
+
+
+def _cohomology(field: Field, d_out_rows: list, d_in_cols: list, ambient: int) -> _Cohomology:
+    return _Cohomology(field, d_out_rows, d_in_cols, ambient) if ambient else _ZERO_COHOMOLOGY
+
+
+class LesPosition(NamedTuple):
     field: str
     degree: int
     at: str
@@ -324,22 +345,24 @@ def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, maps: di
             for b, x in enumerate(mrow):
                 if x:
                     target[col_off + b] = x
-    return IntMatrix(rows, cx_from.total_ranks[n])
+    return IntMatrix._trusted(rows, cx_from.total_ranks[n])
 
 
-def _check_position(field, degree, at, dim, in_map: list, out_map: list, ri: int, ro: int):
-    """Exactness at one position; each map is the list of its columns, the
-    classes of the images of its source basis, and ``ri`` and ``ro`` are
-    the ranks of the in-map and the out-map."""
+def _check_position(field, name, degree, at, dim, in_map: list, out_map: list, ri: int, ro: int):
+    """Exactness at one position over the field rendered as ``name``; each
+    map is the list of its columns, the classes of the images of its source
+    basis, and ``ri`` and ``ro`` are the ranks of the in-map and the
+    out-map. With either map empty the composite has no column or sums no
+    term, so it is zero without a scan."""
     problems = []
-    if any(_combine(field, out_map, col) for col in in_map):
+    if in_map and out_map and any(_combine(field, out_map, col) for col in in_map):
         problems.append("composite nonzero")
     if ri + ro != dim:
         problems.append("rank gap")
     detail = f"rank(in)={ri} rank(out)={ro} dim={dim}"
     if problems:
         detail += " [" + ", ".join(problems) + "]"
-    return LesPosition(field.render(), degree, at, not problems, detail)
+    return LesPosition(name, degree, at, not problems, detail)
 
 
 def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
@@ -385,16 +408,20 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
 
     inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
     prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
+    # Both sides of a cochain-map square are C^n(from) -> C^{n+1}(to); with
+    # either space zero they are the same empty matrix.
     for n in range(n_max + 1):
-        left = cx_mid.diffs[n + 1] @ inj[n]
-        right = inj[n + 1] @ cx_sub.diffs[n + 1]
-        if not ring.matrices_equal(left, right):
-            raise ValueError(f"inclusion is not a cochain map at degree {n}")
+        if cx_sub.dimension(n) and cx_mid.dimension(n + 1):
+            left = cx_mid.diffs[n + 1] @ inj[n]
+            right = inj[n + 1] @ cx_sub.diffs[n + 1]
+            if not ring.matrices_equal(left, right):
+                raise ValueError(f"inclusion is not a cochain map at degree {n}")
     for n in range(n_max):
-        left = cx_quot.diffs[n + 1] @ prj[n]
-        right = prj[n + 1] @ cx_mid.diffs[n + 1]
-        if not ring.matrices_equal(left, right):
-            raise ValueError(f"projection is not a cochain map at degree {n}")
+        if cx_mid.dimension(n) and cx_quot.dimension(n + 1):
+            left = cx_quot.diffs[n + 1] @ prj[n]
+            right = prj[n + 1] @ cx_mid.diffs[n + 1]
+            if not ring.matrices_equal(left, right):
+                raise ValueError(f"projection is not a cochain map at degree {n}")
 
     if fields is None:
         fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
@@ -421,7 +448,7 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         h = {}
         for part, cx in complexes.items():
             for n in range(cx.n_max):
-                h[part, n] = _Cohomology(
+                h[part, n] = _cohomology(
                     field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
                 )
         d_prev, rd_prev = [], 0
@@ -445,9 +472,9 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             d = [h["sub", n + 1].coords(v) for v in images]
             rf, rg, rd = _rank(field, f), _rank(field, g), _rank(field, d)
             positions += (
-                _check_position(field, n, "sub", h["sub", n].dim, d_prev, f, rd_prev, rf),
-                _check_position(field, n, "mid", h["mid", n].dim, f, g, rf, rg),
-                _check_position(field, n, "quot", h["quot", n].dim, g, d, rg, rd),
+                _check_position(field, name, n, "sub", h["sub", n].dim, d_prev, f, rd_prev, rf),
+                _check_position(field, name, n, "mid", h["mid", n].dim, f, g, rf, rg),
+                _check_position(field, name, n, "quot", h["quot", n].dim, g, d, rg, rd),
             )
             d_prev, rd_prev = d, rd
     return LesReport(

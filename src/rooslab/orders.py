@@ -18,15 +18,18 @@ already, so no closure is recomputed.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 
 class QuasiOrder:
     """Finite quasi-order over hashable labels.
 
     ``elements`` keeps the user order (it drives all enumerations); ``leq``
-    is the reflexive-transitive closure of the given pairs.
+    is the reflexive-transitive closure of the given pairs. Equality and the
+    hash read the elements and the closure only.
     """
 
-    __slots__ = ("elements", "_pos", "_up")
+    __slots__ = ("elements", "_pos", "_up", "_up_sets")
 
     def __init__(self, elements, pairs=()):
         elements = tuple(elements)
@@ -53,9 +56,12 @@ class QuasiOrder:
         self._set(elements, pos, tuple(frozenset(s) for s in up))
 
     def _set(self, elements: tuple, pos: dict, up: tuple) -> None:
+        at = elements.__getitem__
+        up_sets = {e: tuple(map(at, sorted(s))) for e, s in zip(elements, up)}
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_up_sets", MappingProxyType(up_sets))
 
     def __setattr__(self, *_):
         raise AttributeError("QuasiOrder is immutable")
@@ -145,10 +151,10 @@ class QuasiOrder:
         )
         return out
 
-    def up_sets(self) -> dict:
-        """Each element's up-set {b : e <= b}, e included, in position order."""
-        at = self.elements.__getitem__
-        return {e: tuple(map(at, sorted(up))) for e, up in zip(self.elements, self._up)}
+    def up_sets(self) -> MappingProxyType:
+        """Each element's up-set {b : e <= b}, e included, in position order:
+        a read-only mapping of tuples, built once with the order."""
+        return self._up_sets
 
     def equivalence_classes(self):
         """Classes of mutually related elements, each in user order.

@@ -445,6 +445,26 @@ def test_les_empty_field_list_is_a_usage_error(tmp_path, capsys, fields):
     assert captured.err.count("\n") == 1 and "--fields names no field" in captured.err
 
 
+@pytest.mark.parametrize("fields", ["3", "0,3"])
+def test_les_fields_the_ring_rules_out_are_a_usage_error(tmp_path, capsys, fields):
+    # Over Z/4 only GF(2) applies: a list naming no other field would check
+    # nothing, so it fails with one line naming each field and its reason.
+    path = str(tmp_path / "ses.json")
+    write_document(ses_to_doc(random_ses(random.Random(44), ring=Ring.modular(4))), path)
+    assert main(["les", "--ses", path, "--max-degree", "1", "--fields", fields, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --fields")
+    assert "GF(3): 3 does not divide the modulus 4" in captured.err
+    assert ("Q: no rational coefficients over a modular ring" in captured.err) == ("0" in fields)
+
+    assert main(["les", "--ses", path, "--max-degree", "1", "--fields", "2,3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["fields"] == ["GF(2)"]
+    assert payload["results"]["skipped GF(3)"] == "3 does not divide the modulus 4"
+    assert payload["ok"] is True
+
+
 def test_les_default_fields_of_a_large_modulus(tmp_path, capsys):
     path = str(tmp_path / "ses.json")
     mersenne = 2**61 - 1

@@ -1,7 +1,9 @@
 """Long exact sequence verification over rational and prime fields."""
 
 import itertools
+import math
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,6 +13,7 @@ from rooslab.gen import random_ses
 from rooslab.les import (
     Field,
     _axpy,
+    _check_position,
     _combine,
     _echelon,
     _levelwise_matrix,
@@ -595,3 +598,270 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
             lists = [v for q, v in ranked if q == p]
             assert len({id(v) for v in lists}) == len(lists), (p, fields)
     assert calls > 2000
+
+
+# A copy of les_of_ses as it stood before zero-dimensional spaces were made
+# free: every rank and every lift goes through _echelon, every cohomology is
+# eliminated, each position is a dataclass whose field name is rendered at
+# each position, the levelwise matrices are coerced through IntMatrix, and
+# both cochain-map checks multiply in every degree.
+
+
+@dataclass(frozen=True)
+class _ReferencePosition:
+    field: str
+    degree: int
+    at: str
+    ok: bool
+    detail: str
+
+
+def _reference_sparse_cols(m):
+    cols = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _reference_rank(field, vectors):
+    return len(_echelon(field, vectors, math.inf)[0])
+
+
+def _reference_solve(field, rows, width, rhs, what):
+    if not rhs:
+        return []
+    augmented = [dict(row) for row in rows]
+    for k, b in enumerate(rhs):
+        for i, x in b.items():
+            augmented[i][width + k] = x
+    pivots, rest = _echelon(field, augmented, width)
+    if rest:
+        raise ArithmeticError(f"connecting lift through the {what} failed")
+    solutions = [{} for _ in rhs]
+    for j, row in pivots.items():
+        for c, x in row.items():
+            if c >= width:
+                solutions[c - width][j] = x
+    return solutions
+
+
+def _reference_levelwise_matrix(n, cx_from, cx_to, maps):
+    rows = [[0] * cx_from.total_ranks[n] for _ in range(cx_to.total_ranks[n])]
+    for i, t in enumerate(cx_to.blocks[n]):
+        m = maps[t[0]]
+        row_off = cx_to.offsets[n][i]
+        col_off = cx_from.offsets[n][i]
+        for a, mrow in enumerate(m.rows):
+            target = rows[row_off + a]
+            for b, x in enumerate(mrow):
+                if x:
+                    target[col_off + b] = x
+    return IntMatrix(rows, cx_from.total_ranks[n])
+
+
+def _reference_check_position(field, degree, at, dim, in_map, out_map, ri, ro):
+    problems = []
+    if any(_combine(field, out_map, col) for col in in_map):
+        problems.append("composite nonzero")
+    if ri + ro != dim:
+        problems.append("rank gap")
+    detail = f"rank(in)={ri} rank(out)={ro} dim={dim}"
+    if problems:
+        detail += " [" + ", ".join(problems) + "]"
+    return _ReferencePosition(field.render(), degree, at, not problems, detail)
+
+
+def _reference_les_of_ses(e, n_max, fields=None):
+    """(groups, fields, skipped, positions) as the earlier les_of_ses gave them."""
+    rep = validate_ses(e)
+    assert rep.ok
+    ring = e.mid.ring
+    keep = core_elements(e.mid.index)
+    if len(keep) < len(e.mid.index):
+        e = SystemSES(
+            sub=e.sub.restrict(keep),
+            mid=e.mid.restrict(keep),
+            quot=e.quot.restrict(keep),
+            inject={r: e.inject[r] for r in keep},
+            project={r: e.project[r] for r in keep},
+        )
+    cx_sub = build_complex(e.sub, n_max + 2, strict=True)
+    cx_mid = build_complex(e.mid, n_max + 1, strict=True)
+    cx_quot = build_complex(e.quot, n_max + 1, strict=True)
+    groups = {}
+    for n in range(n_max + 2):
+        groups[("sub", n)] = cx_sub.cohomology(n)
+    for n in range(n_max + 1):
+        groups[("mid", n)] = cx_mid.cohomology(n)
+        groups[("quot", n)] = cx_quot.cohomology(n)
+    inj = {n: _reference_levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
+    prj = {n: _reference_levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
+    for n in range(n_max + 1):
+        assert ring.matrices_equal(cx_mid.diffs[n + 1] @ inj[n], inj[n + 1] @ cx_sub.diffs[n + 1])
+    for n in range(n_max):
+        assert ring.matrices_equal(cx_quot.diffs[n + 1] @ prj[n], prj[n + 1] @ cx_mid.diffs[n + 1])
+    if fields is None:
+        fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
+    complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
+    diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
+    diff_cols = {
+        part: [_reference_sparse_cols(d) for d in cx.diffs] for part, cx in complexes.items()
+    }
+    inj_rows = {n: _sparse_rows(m) for n, m in inj.items()}
+    inj_cols = {n: _reference_sparse_cols(m) for n, m in inj.items()}
+    prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
+    prj_cols = {n: _reference_sparse_cols(m) for n, m in prj.items()}
+    applied, skipped, positions = [], {}, []
+    for p in dict.fromkeys(fields):
+        field = Field(p)
+        name = field.render()
+        if not ring.is_integers and p and ring.modulus % p:
+            skipped[name] = f"{p} does not divide the modulus {ring.modulus}"
+            continue
+        if not ring.is_integers and p == 0:
+            skipped[name] = "no rational coefficients over a modular ring"
+            continue
+        applied.append(name)
+        h = {}
+        for part, cx in complexes.items():
+            for n in range(cx.n_max):
+                h[part, n] = _ReferenceCohomology(
+                    field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
+                )
+        d_prev, rd_prev = [], 0
+        for n in range(n_max + 1):
+            f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
+            g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
+            lifts = _reference_solve(
+                field, prj_rows[n], cx_mid.dimension(n), h["quot", n].basis, "projection"
+            )
+            images = _reference_solve(
+                field,
+                inj_rows[n + 1],
+                cx_sub.dimension(n + 1),
+                [_combine(field, diff_cols["mid"][n + 1], c) for c in lifts],
+                "inclusion",
+            )
+            assert not any(_combine(field, diff_cols["sub"][n + 2], v) for v in images)
+            d = [h["sub", n + 1].coords(v) for v in images]
+            rf = _reference_rank(field, f)
+            rg = _reference_rank(field, g)
+            rd = _reference_rank(field, d)
+            positions += (
+                _reference_check_position(field, n, "sub", h["sub", n].dim, d_prev, f, rd_prev, rf),
+                _reference_check_position(field, n, "mid", h["mid", n].dim, f, g, rf, rg),
+                _reference_check_position(field, n, "quot", h["quot", n].dim, g, d, rg, rd),
+            )
+            d_prev, rd_prev = d, rd
+    return groups, tuple(applied), skipped, positions
+
+
+def test_les_matches_the_reference_route():
+    # 720 sequences: every combination of ring, kind (split and coupled
+    # random_ses draws, coupled height-one sequences), field list and basis
+    # (coordinate maps or conjugated_ses), ten times over, with n_max
+    # running through 0..4.
+    rng = random.Random(1414)
+    basis = random.Random(1415)
+    kinds = ("split", "coupled", "two-level")
+    field_lists = (None, (0, 2, 3, 5, 7), (5, 0, 5))
+    combos = list(itertools.product(_RINGS, kinds, field_lists, (False, True)))
+    nonzero_c1 = cases = 0
+    for i in range(720):
+        ring, kind, fields, conjugated = combos[i % len(combos)]
+        n_max = i % 5
+        if kind == "two-level":
+            e = _coupled_two_level_ses(rng, ring)
+        else:
+            e = random_ses(rng, split=kind == "split", ring=ring)
+        if conjugated:
+            e = conjugated_ses(e, basis)
+        rep = les_of_ses(e, n_max, fields=fields)
+        groups, want_fields, want_skipped, want_positions = _reference_les_of_ses(e, n_max, fields)
+        assert rep.groups == groups
+        assert rep.fields == want_fields
+        assert rep.skipped == want_skipped
+        assert [(p.field, p.degree, p.at, p.ok, p.detail) for p in rep.positions] == [
+            (p.field, p.degree, p.at, p.ok, p.detail) for p in want_positions
+        ]
+        assert rep.ok
+        core = e.mid.restrict(core_elements(e.mid.index))
+        nonzero_c1 += build_complex(core, 1, strict=True).dimension(1) > 0
+        cases += 1
+    assert cases == 720 and nonzero_c1 >= 60
+
+
+def test_zero_spaces_cost_no_elimination(monkeypatch):
+    # On a one-point core every cochain space above degree 0 is zero. Each
+    # call of _echelon is recorded: none may get an empty list of rows, and
+    # a field makes at most four (the ranks of f, g and the connecting map in
+    # degree 0, and the lift through the projection). Before zero spaces
+    # were skipped, this sequence made 20 calls per field, 16 of them with
+    # no rows.
+    calls = []
+
+    def recording_echelon(field, rows, width):
+        calls.append((field.p, len(rows)))
+        return _echelon(field, rows, width)
+
+    monkeypatch.setattr(rooslab.les, "_echelon", recording_echelon)
+    e = _split_constant_ses()
+    assert len(core_elements(e.mid.index)) == 1
+    rep = les_of_ses(e, 3)
+    assert rep.ok and len(rep.positions) == 48
+    assert calls and all(n > 0 for _, n in calls)
+    for p in (0, 2, 3, 5):
+        assert 0 < sum(q == p for q, _ in calls) <= 4
+
+
+def test_position_checks_match_the_reference_on_broken_maps():
+    # Random maps of classes, many of them empty, with ranks and dimensions
+    # that may disagree: the skip of the composite scan when either map is
+    # empty must leave every verdict and detail as the full scan gives it.
+    rng = random.Random(1616)
+    failing = set()
+    for _ in range(400):
+        field = Field(rng.choice((0, 2, 3)))
+        middle = rng.randint(0, 3)
+        in_map = [
+            {k: rng.randint(1, 2) for k in range(middle) if rng.random() < 0.5}
+            for _ in range(rng.choice((0, 0, 1, 2)))
+        ]
+        out_map = [
+            {k: rng.randint(1, 2) for k in range(2) if rng.random() < 0.5}
+            for _ in range(middle)
+        ]
+        ri, ro, dim = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+        got = _check_position(field, field.render(), 1, "mid", dim, in_map, out_map, ri, ro)
+        want = _reference_check_position(field, 1, "mid", dim, in_map, out_map, ri, ro)
+        assert tuple(got) == (want.field, want.degree, want.at, want.ok, want.detail)
+        failing.update(p for p in ("composite nonzero", "rank gap") if p in got.detail)
+    assert failing == {"composite nonzero", "rank gap"}
+
+
+@pytest.mark.parametrize("which", ["inject", "project"])
+def test_cochain_map_checks_still_fire(monkeypatch, which):
+    # One entry of a levelwise matrix is changed after validate_ses passed:
+    # the check of the square it sits in must raise, in each degree whose
+    # product has rows and columns.
+    e = _coupled_cospan_ses()
+    maps = getattr(e, which)
+
+    def bumped(degree):
+        def levelwise(n, cx_from, cx_to, m):
+            out = _levelwise_matrix(n, cx_from, cx_to, m)
+            if m is maps and n == degree:
+                rows = out.mutable_rows()
+                rows[0][0] += 1
+                out = IntMatrix(rows, out.ncols)
+            return out
+        return levelwise
+
+    name = "inclusion" if which == "inject" else "projection"
+    for degree in (0, 1):
+        with monkeypatch.context() as m:
+            m.setattr(rooslab.les, "_levelwise_matrix", bumped(degree))
+            with pytest.raises(ValueError, match=f"{name} is not a cochain map"):
+                les_of_ses(e, 1)

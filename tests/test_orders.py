@@ -152,6 +152,29 @@ def test_restrict_reads_the_induced_relation():
         assert [got.position(e) for e in keep] == list(range(len(keep)))
 
 
+def test_up_sets_are_built_once_and_read_only():
+    # Every call returns the same mapping; it cannot be changed, and it
+    # lists each up-set in position order, for built and restricted orders.
+    # Equality and the hash still read only the elements and the relation.
+    rng = random.Random(3141)
+    for _ in range(60):
+        q = _random_order(rng, rng.randint(1, 6))
+        r = q.restrict(rng.sample(q.elements, rng.randint(0, len(q))))
+        for order in (q, r):
+            up = order.up_sets()
+            assert order.up_sets() is up
+            assert list(up) == list(order.elements)
+            for a in order.elements:
+                want = tuple(b for b in order.elements if order.leq(a, b))
+                assert up[a] == want
+            with pytest.raises(TypeError):
+                up["new"] = ()
+            twin = QuasiOrder(order.elements, order.related_pairs())
+            assert twin == order and hash(twin) == hash(order)
+            assert twin.up_sets() is not up and twin.up_sets() == up
+        assert q.restrict(q.elements) == q
+
+
 def test_chain_counts_for_total_orders():
     for m in range(1, 7):
         q = _chain([f"t{i}" for i in range(m)])
