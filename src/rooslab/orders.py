@@ -25,8 +25,9 @@ class QuasiOrder:
     """Finite quasi-order over hashable labels.
 
     ``elements`` keeps the user order (it drives all enumerations); ``leq``
-    is the reflexive-transitive closure of the given pairs. Equality and the
-    hash read the elements and the closure only.
+    is the reflexive-transitive closure of the given pairs, stored as each
+    element's up-set: the sorted tuple of the positions above it, itself
+    included. Equality and the hash read the elements and the closure only.
     """
 
     __slots__ = ("elements", "_pos", "_up", "_up_sets")
@@ -53,11 +54,11 @@ class QuasiOrder:
                 if len(grown) != len(up[i]):
                     up[i] = grown
                     changed = True
-        self._set(elements, pos, tuple(frozenset(s) for s in up))
+        self._set(elements, pos, tuple(tuple(sorted(s)) for s in up))
 
     def _set(self, elements: tuple, pos: dict, up: tuple) -> None:
         at = elements.__getitem__
-        up_sets = {e: tuple(map(at, sorted(s))) for e, s in zip(elements, up)}
+        up_sets = {e: tuple(map(at, s)) for e, s in zip(elements, up)}
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_up", up)
@@ -111,8 +112,9 @@ class QuasiOrder:
 
     def is_directed(self) -> bool:
         for i in range(len(self.elements)):
+            above = set(self._up[i])
             for j in range(i + 1, len(self.elements)):
-                if not (self._up[i] & self._up[j]):
+                if above.isdisjoint(self._up[j]):
                     return False
         return True
 
@@ -147,7 +149,7 @@ class QuasiOrder:
         out._set(
             elements,
             {e: k for k, e in enumerate(elements)},
-            tuple(frozenset(new[j] for j in self._up[i] if j in new) for i in kept),
+            tuple(tuple(new[j] for j in self._up[i] if j in new) for i in kept),
         )
         return out
 
@@ -168,7 +170,7 @@ class QuasiOrder:
         for i, e in enumerate(self.elements):
             if i in seen:
                 continue
-            cls = [j for j in sorted(self._up[i]) if i in self._up[j]]
+            cls = [j for j in self._up[i] if i in self._up[j]]
             seen.update(cls)
             out.append([self.elements[j] for j in cls])
         return out
