@@ -600,11 +600,12 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
     assert calls > 2000
 
 
-# A copy of les_of_ses as it stood before zero-dimensional spaces were made
-# free: every rank and every lift goes through _echelon, every cohomology is
-# eliminated, each position is a dataclass whose field name is rendered at
-# each position, the levelwise matrices are coerced through IntMatrix, and
-# both cochain-map checks multiply in every degree.
+# The route of les_of_ses before zero-dimensional spaces were made free, kept
+# as a reference: every rank and every lift goes through _echelon, each
+# position is a dataclass whose field name is rendered at each position, the
+# levelwise matrices are coerced through IntMatrix, and both cochain-map
+# checks multiply in every degree. Its cohomology is _ReferenceCohomology
+# above, which eliminates whatever the dimension.
 
 
 @dataclass(frozen=True)
