@@ -61,7 +61,11 @@ def parse_ring(tag) -> Ring:
             _fail("ring", f"bad modulus in tag {tag!r}")
         if m < 2:
             _fail("ring", f"modulus must be at least 2, got {m}")
-        return Ring.modular(m)
+        ring = Ring.modular(m)
+        # int() also reads "04", " 4", "+4", "4_0" and non-ASCII digits.
+        if ring.render() != tag:
+            _fail("ring", f"bad modulus in tag {tag!r}")
+        return ring
     _fail("ring", f'unknown tag {tag!r} (want "Z" or "Z/m")')
 
 

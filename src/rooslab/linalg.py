@@ -1,30 +1,19 @@
 """Exact integer linear algebra over Z and Z/m.
 
 Everything downstream (cochain complexes, derived limits, long exact
-sequences) reduces to the routines implemented here:
+sequences) reduces to Smith diagonals computed here:
 
-* ``smith_normal_form`` computes ``d = u * m * v`` with unimodular ``u``, ``v``
-  and the full divisor chain on the diagonal, tracking the transforms the
-  caller asks for. The pivot rule is deterministic: smallest nonzero absolute
-  value, ties broken by lowest row index, then lowest column index. This
-  makes every decomposition reproducible across platforms.
-* ``invariant_factors`` computes the Smith diagonal alone, with no
-  transforms: sparse elimination of unit pivots, then a diagonal-only
-  ``smith_normal_form`` of the small residual block (Dumas, Saunders and
-  Villard, J. Symbolic Comput. 32, 2001).
+* ``smith_normal_form`` returns the nonzero Smith diagonal d_1 | d_2 | ... of
+  a matrix and nothing else: no transform is tracked. The pivot rule is
+  deterministic: smallest nonzero absolute value, ties broken by lowest row
+  index, then lowest column index.
+* ``invariant_factors`` is the production route to that diagonal: sparse
+  elimination of unit pivots, then ``smith_normal_form`` of the small
+  residual block (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
 * ``cohomology_at`` presents the subquotient ker(d_out)/im(d_in) of a free
   module as canonical invariants (free rank plus a divisor chain), read off
   the rank of d_out and the invariant factors of d_in. The Z/m case is
   handled by lifting to Z and adjoining ``m * identity`` relations.
-* ``solve`` finds the canonical solution of ``m x = b`` (free coordinates set
-  to zero after SNF back-substitution), or reports that none exists.
-
-Production code runs ``smith_normal_form`` diagonal-only, on the residual
-block of ``invariant_factors``. Its transforms (``SmithDecomposition.u``,
-``v``, ``u_inv``, ``v_inv``), ``solve`` and ``kernel_basis`` have no
-production caller: they are declared test oracles, the independent route
-that the tests hold the transform-free cohomology and the per-field echelon
-form of ``les`` against.
 
 ``IntMatrix`` is dense, immutable, and carries plain Python integers;
 ``invariant_factors`` works on a sparse copy. At desk scale exactness matters
@@ -93,13 +82,24 @@ class Ring:
         )
 
 
+def _integral(x) -> int:
+    """``int(x)``, refused with ValueError when that changes the value (1.5,
+    Fraction(7, 2)); ``True`` is 1."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 class IntMatrix:
     """Immutable dense integer matrix with explicit shape (0-sized sides allowed)."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        frozen = tuple(tuple(int(x) for x in row) for row in rows)
+        frozen = tuple(
+            tuple(x if type(x) is int else _integral(x) for x in row) for row in rows
+        )
         if frozen:
             width = len(frozen[0])
             if any(len(r) != width for r in frozen):
@@ -209,10 +209,6 @@ class IntMatrix:
             out.append(acc)
         return out
 
-    def cols_at(self, idx) -> "IntMatrix":
-        idx = list(idx)
-        return IntMatrix._trusted([[row[j] for j in idx] for row in self.rows], len(idx))
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ShapeMismatchError(f"hstack {self.shape} with {other.shape}")
@@ -238,9 +234,10 @@ class GroupInvariants:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "free_rank", _integral(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank cannot be negative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(map(_integral, self.torsion)))
         for d in self.torsion:
             if d < 2:
                 raise ValueError(f"torsion divisor {d} < 2")
@@ -259,35 +256,6 @@ class GroupInvariants:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Result of ``smith_normal_form``: d = u * m * v.
-
-    ``u``/``v`` are unimodular; ``u_inv``/``v_inv`` their inverses, tracked
-    during the reduction rather than recomputed. Transform fields are None
-    exactly when the caller opted out of them.
-    """
-
-    d: IntMatrix
-    u: IntMatrix | None
-    v: IntMatrix | None
-    u_inv: IntMatrix | None
-    v_inv: IntMatrix | None
-
-    @property
-    def diagonal(self) -> list[int]:
-        n = min(self.d.nrows, self.d.ncols)
-        return [self.d.rows[i][i] for i in range(n)]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
-
-    @property
-    def invariant_factors(self) -> list[int]:
-        return [x for x in self.diagonal if x != 0]
 
 
 def _find_pivot(a, t, nrows, ncols):
@@ -313,91 +281,17 @@ def _find_pivot(a, t, nrows, ncols):
     return best_pos
 
 
-def smith_normal_form(
-    m: IntMatrix,
-    *,
-    want_u: bool = True,
-    want_v: bool = True,
-    want_u_inv: bool = True,
-    want_v_inv: bool = True,
-) -> SmithDecomposition:
-    """Smith normal form over Z with deterministic pivoting.
+def smith_normal_form(m: IntMatrix) -> list[int]:
+    """The nonzero Smith diagonal d_1 | d_2 | ... of m over Z.
 
-    Returns ``d`` diagonal with nonnegative entries satisfying
-    d_1 | d_2 | ... , and transforms with ``d = u * m * v``. Row operations on
-    ``m`` are mirrored on ``u`` (and inverted on ``u_inv``); column operations
-    on ``v`` / ``v_inv``. Heavy callers disable the transforms they do not
-    need: the kernel-side only requires ``v`` and ``v_inv``.
+    Row and column operations act on a working copy of m alone; no
+    transform is kept. The pivot is the smallest nonzero absolute value
+    (``_find_pivot``), Euclid's algorithm clears its column and row, and a
+    divisibility sweep adds a row the pivot does not divide into the pivot
+    row and clears again.
     """
     nrows, ncols = m.nrows, m.ncols
     a = m.mutable_rows()
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if want_u else None
-    uinv = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if want_u_inv else None
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] if want_v else None
-    vinv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] if want_v_inv else None
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-        if uinv is not None:
-            for r in uinv:
-                r[i], r[k] = r[k], r[i]
-
-    def row_sub(i, k, q, start):
-        # row_i -= q * row_k
-        ai, ak = a[i], a[k]
-        for j in range(start, ncols):
-            x = ak[j]
-            if x:
-                ai[j] -= q * x
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(nrows):
-                x = uk[j]
-                if x:
-                    ui[j] -= q * x
-        if uinv is not None:
-            for r in uinv:
-                x = r[i]
-                if x:
-                    r[k] += q * x
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-        if uinv is not None:
-            for r in uinv:
-                r[i] = -r[i]
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        if v is not None:
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-        if vinv is not None:
-            vinv[j], vinv[k] = vinv[k], vinv[j]
-
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        for r in a:
-            x = r[k]
-            if x:
-                r[j] -= q * x
-        if v is not None:
-            for r in v:
-                x = r[k]
-                if x:
-                    r[j] -= q * x
-        if vinv is not None:
-            rj, rk = vinv[j], vinv[k]
-            for idx in range(ncols):
-                x = rj[idx]
-                if x:
-                    rk[idx] += q * x
-
     t = 0
     limit = min(nrows, ncols)
     while t < limit:
@@ -406,76 +300,74 @@ def smith_normal_form(
             break
         pi, pj = piv
         if pi != t:
-            swap_rows(pi, t)
+            a[pi], a[t] = a[t], a[pi]
         if pj != t:
-            swap_cols(pj, t)
+            for r in a:
+                r[pj], r[t] = r[t], r[pj]
         while True:
             # Clear column t. A nonzero remainder is strictly smaller than the
             # pivot; swapping it in and repeating is Euclid's algorithm.
             cleared = False
             while not cleared:
                 if a[t][t] < 0:
-                    negate_row(t)
-                p = a[t][t]
+                    a[t] = [-x for x in a[t]]
+                prow = a[t]
+                p = prow[t]
                 cleared = True
                 for i in range(nrows):
                     if i == t:
                         continue
-                    x = a[i][t]
+                    row = a[i]
+                    x = row[t]
                     if x:
                         q = x // p
                         if q:
-                            row_sub(i, t, q, t)
-                        if a[i][t]:
-                            swap_rows(i, t)
+                            for j in range(t, ncols):
+                                y = prow[j]
+                                if y:
+                                    row[j] -= q * y
+                        if row[t]:
+                            a[i], a[t] = prow, row
                             cleared = False
                             break
             # Clear row t. A remainder swap here exchanges column j with
             # column t and can dirty column t again, hence the outer loop.
             cleared = False
             while not cleared:
-                p = a[t][t]
+                prow = a[t]
+                p = prow[t]
                 cleared = True
                 for j in range(ncols):
                     if j == t:
                         continue
-                    x = a[t][j]
+                    x = prow[j]
                     if x:
                         q = x // p
                         if q:
-                            col_sub(j, t, q)
-                        if a[t][j]:
-                            swap_cols(j, t)
+                            for r in a:
+                                y = r[t]
+                                if y:
+                                    r[j] -= q * y
+                        if prow[j]:
+                            for r in a:
+                                r[j], r[t] = r[t], r[j]
                             cleared = False
                             break
             if any(a[i][t] for i in range(nrows) if i != t):
                 continue
             # Divisibility sweep: the pivot must divide the whole tail block.
             p = a[t][t]
-            if p != 1 and p != 0:
-                viol = None
-                for i in range(t + 1, nrows):
-                    row = a[i]
-                    for j in range(t + 1, ncols):
-                        if row[j] % p:
-                            viol = i
-                            break
-                    if viol is not None:
-                        break
+            if p != 1:
+                viol = next(
+                    (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1 :])),
+                    None,
+                )
                 if viol is not None:
-                    row_sub(t, viol, -1, t)
+                    a[t] = [x + y for x, y in zip(a[t], a[viol])]
                     continue
             break
         t += 1
-
-    wrap = IntMatrix._trusted
-    return SmithDecomposition(
-        d=wrap(a, ncols),
-        u=wrap(u, nrows) if u is not None else None,
-        v=wrap(v, ncols) if v is not None else None,
-        u_inv=wrap(uinv, nrows) if uinv is not None else None,
-        v_inv=wrap(vinv, ncols) if vinv is not None else None,
-    )
+    return [a[i][i] for i in range(t)]
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:
@@ -544,23 +436,8 @@ def invariant_factors(m: IntMatrix) -> list[int]:
         residual = IntMatrix._trusted(
             [[r.get(j, 0) for j in col_ids] for r in rows.values()], len(col_ids)
         )
-        snf = smith_normal_form(
-            residual, want_u=False, want_v=False, want_u_inv=False, want_v_inv=False
-        )
-        factors += snf.invariant_factors
+        factors += smith_normal_form(residual)
     return factors
-
-
-def _kernel_column_indices(snf: SmithDecomposition) -> list[int]:
-    diag = snf.diagonal
-    ncols = snf.d.ncols
-    return [j for j in range(ncols) if j >= len(diag) or diag[j] == 0]
-
-
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel lattice {x : m x = 0}."""
-    snf = smith_normal_form(m, want_u=False, want_u_inv=False, want_v_inv=False)
-    return snf.v.cols_at(_kernel_column_indices(snf))
 
 
 def _lifted_pair(d_in: IntMatrix, d_out: IntMatrix, ring: Ring):
@@ -641,36 +518,3 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
     if not ring.is_integers and free_rank != 0:
         raise AssertionError("modular subquotient came out infinite")
     return GroupInvariants(free_rank, torsion)
-
-
-def solve(m: IntMatrix, b, ring: Ring) -> list[int] | None:
-    """Canonical solution of m x = b over the ring, or None.
-
-    Diagonalize, back-substitute c = u b through the divisor chain, set free
-    coordinates to zero, map back through v. Over Z/m the system is augmented
-    with the modulus columns first and answers are reduced to [0, m).
-    """
-    b = [int(x) for x in b]
-    if len(b) != m.nrows:
-        raise ShapeMismatchError(f"solve: matrix {m.shape} vs rhs of length {len(b)}")
-    if ring.is_integers:
-        a = m
-    else:
-        a = m.hstack(IntMatrix.identity(m.nrows).scale(ring.modulus))
-    snf = smith_normal_form(a, want_u_inv=False, want_v_inv=False)
-    c = snf.u.matvec(b)
-    diag = snf.diagonal
-    y = [0] * a.ncols
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if ci % d:
-                return None
-            y[i] = ci // d
-        elif ci:
-            return None
-    x_full = snf.v.matvec(y)
-    x = x_full[: m.ncols]
-    if not ring.is_integers:
-        x = [v % ring.modulus for v in x]
-    return x

@@ -668,6 +668,7 @@ def _malformed(doc, where, value):
         ("tree", ("stages", 0, "points", 0), ["a", "b"], "points[0] coordinate"),
         ("tree", ("stages", 0, "points", 0), [0.5, 1], "points[0] coordinate"),
         ("system", ("objects",), {"a": True}, "rank of 'a' is not an integer"),
+        ("system", ("ring",), "Z/4_0", "bad modulus in tag 'Z/4_0'"),
         ("system", ("indices",), [["a"]], "indices entry ['a'] is not a string"),
         ("system", ("leq",), [[["a"], "a"]], "leq entry [['a'], 'a'] has a label"),
         ("category", ("objects",), [[1]], "objects entry [1] is not a string"),
@@ -676,7 +677,7 @@ def _malformed(doc, where, value):
         ("category", ("morphisms", "a"), [["o0"], "o1"], "morphism 'a' endpoints"),
     ],
     ids=[
-        "cell", "value", "modulus", "point-strings", "point-float", "bool-rank",
+        "cell", "value", "modulus", "point-strings", "point-float", "bool-rank", "ring-tag",
         "list-index", "list-leq", "list-object", "list-identity", "list-compose",
         "list-endpoint",
     ],

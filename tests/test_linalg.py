@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from rooslab import linalg
 from rooslab.complexes import build_complex, limit_complex
 from rooslab.gen import random_system
 from rooslab.io import parse_ring
@@ -17,10 +18,9 @@ from rooslab.linalg import (
     ShapeMismatchError,
     cohomology_at,
     invariant_factors,
-    kernel_basis,
-    smith_normal_form,
-    solve,
 )
+
+from oracle_linalg import kernel_basis, smith_normal_form, solve
 
 
 def _transpose(m):
@@ -306,6 +306,13 @@ def test_group_invariants_validation():
         GroupInvariants(0, (1,))
     with pytest.raises(ValueError):
         GroupInvariants(0, (4, 2))
+    for torsion in [(2.5,), (2, Fraction(9, 2)), (2, 4.000001)]:
+        with pytest.raises(ValueError):
+            GroupInvariants(1, torsion)
+    with pytest.raises(ValueError):
+        GroupInvariants(1.5)
+    g = GroupInvariants(1.0, (2.0, Fraction(4)))
+    assert (g.free_rank, g.torsion) == (1, (2, 4)) and type(g.free_rank) is int
     assert GroupInvariants(0, (2, 4)).torsion == (2, 4)
     assert GroupInvariants.trivial().is_trivial
 
@@ -315,8 +322,9 @@ def test_ring_parse_render():
     assert parse_ring("Z/6") == Ring.modular(6)
     assert Ring.modular(6).render() == "Z/6"
     assert Ring.integers().render() == "Z"
-    with pytest.raises(ValueError):
-        parse_ring("Q")
+    for tag in ("Q", "Z/4_0", "Z/04", "Z/ 4", "Z/4 ", "Z/+6", "Z/\u0664"):
+        with pytest.raises(ValueError):
+            parse_ring(tag)
     with pytest.raises(ValueError):
         Ring.modular(1)
 
@@ -326,9 +334,15 @@ def test_matrix_literal_checks():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ShapeMismatchError):
         IntMatrix([[1, 2]], 3)
+    # An entry is taken only if int() keeps its value.
+    for rows in ([[1.5, -2.7]], [[1, Fraction(7, 2)]], [[0], [-0.5]], [["3"]]):
+        with pytest.raises(ValueError):
+            IntMatrix(rows)
     m = IntMatrix([[True, 2]])
     assert m.rows == ((1, 2),)
     assert all(type(x) is int for x in m.rows[0])
+    m = IntMatrix([[2.0, Fraction(-6, 2)]])
+    assert m.rows == ((2, -3),) and all(type(x) is int for x in m.rows[0])
     # Results built inside linalg skip those checks; they must still be the
     # matrices a literal gives.
     a = IntMatrix([[1, -2, 0], [3, 0, 4]])
@@ -372,8 +386,14 @@ def _oracle_matrices():
 
 
 def test_invariant_factors_match_smith_diagonal():
-    for m in _oracle_matrices():
-        assert invariant_factors(m) == smith_normal_form(m).invariant_factors, m
+    # Unit-free matrices reach the library's Smith form whole; on these the
+    # divisibility sweep has to fire. The empty shapes among the oracle
+    # matrices reach it only through the direct call.
+    swept = [[[2, 0], [0, 3]], [[4, 0], [0, 6]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]]]
+    for m in [*_oracle_matrices(), *map(IntMatrix, swept)]:
+        want = smith_normal_form(m).invariant_factors
+        assert invariant_factors(m) == want, m
+        assert linalg.smith_normal_form(m) == want, m
 
 
 def test_invariant_factors_match_sympy():
