@@ -56,6 +56,9 @@ class FiniteCategory:
             if src not in obj_set or tgt not in obj_set:
                 raise CategoryError(f"morphism {name!r} has endpoints outside the objects")
         ident = dict(identities)
+        extra = [o for o in ident if o not in obj_set]
+        if extra:
+            raise CategoryError(f"identities chosen for non-objects {extra}")
         for o in objects:
             if o not in ident:
                 raise CategoryError(f"no identity chosen for object {o!r}")

@@ -1,14 +1,15 @@
 """JSON document formats: systems, exact sequences, categories, families, trees.
 
-One canonical, diff-able shape per object.  Index, object and morphism
-labels are JSON strings.  A system document uses the
-top-level keys "ring", "indices", "leq", "objects", "maps"; map keys are
-strings "mu->lambda" (source object first), the value a row-list matrix
-with rank(lambda) rows and rank(mu) columns, acting on column vectors.
-Parsers are lenient about unknown keys (so documents can carry notes) but
-every semantic failure raises :class:`DocumentError` naming the offending
-key, bond, or member, and parsed objects are validated before they are
-returned.
+One canonical, diff-able shape per object. Index, object and morphism labels
+are JSON strings. A system document has the keys "ring", "indices", "leq",
+"objects", "maps"; a map key "mu->lambda" names the source first, and its
+value is a row-list matrix with rank(lambda) rows and rank(mu) columns, acting
+on column vectors. Parsers are lenient about unknown keys (so documents can
+carry notes) and check only what a document adds: ring tags, JSON types
+(``true`` is no integer), key syntax, and matrices as lists of equal-length
+integer lists. Every other check belongs to the library constructor a parser
+calls (``QuasiOrder``, ``InverseSystem``, ``validate_ses``, ...), and a
+:class:`DocumentError` carries its message after the location.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .category import CategoryError, FiniteCategory
 from .coherence import EvcFun, FamilySpec, GridFun
 from .linalg import GroupInvariants, IntMatrix, Ring
 from .orders import QuasiOrder
-from .systems import InverseSystem, SystemSES, require_functorial, validate_ses
+from .systems import InverseSystem, SystemSES, require_exact, require_functorial
 from .trees import TreeInstance, TreeStage, validate_tree
 
 
@@ -69,18 +70,20 @@ def parse_ring(tag) -> Ring:
     _fail("ring", f'unknown tag {tag!r} (want "Z" or "Z/m")')
 
 
-def _matrix_from_doc(rows, nrows, ncols, where) -> IntMatrix:
-    """The one check of a document matrix: ``nrows`` lists of ``ncols``
-    integers each. The rows are then taken as they are."""
+def _matrix_from_doc(rows, ncols, where) -> IntMatrix:
+    """A list of equal-length integer lists, taken as it is; ``ncols`` is
+    the width of a matrix with no rows. The constructor that receives the
+    matrix checks its shape."""
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         _fail(where, "matrix must be a list of rows")
     for r in rows:
         for x in r:
             if type(x) is not int:
                 _integer(x, where, "matrix entry")
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
-        got = (len(rows), len(rows[0]) if rows else ncols)
-        _fail(where, f"matrix shape {got} does not match expected {(nrows, ncols)}")
+    if rows:
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            _fail(where, "matrix rows have different lengths")
     return IntMatrix._trusted(rows, ncols)
 
 
@@ -110,46 +113,25 @@ def system_from_doc(doc, where: str = "system") -> InverseSystem:
     for e in elements:
         if not isinstance(e, str):
             _fail(where, f"indices entry {e!r} is not a string")
-    if len(set(elements)) != len(elements):
-        _fail(where, "duplicate index labels")
-    known = set(elements)
-    pairs = []
-    for p in _need(doc, "leq", where, list):
+    pairs = _need(doc, "leq", where, list)
+    for p in pairs:
         if not (isinstance(p, list) and len(p) == 2):
             _fail(where, f"leq entry {p!r} is not a pair")
         if not (isinstance(p[0], str) and isinstance(p[1], str)):
             _fail(where, f"leq entry {p!r} has a label that is not a string")
-        if p[0] not in known or p[1] not in known:
-            _fail(where, f"leq entry {p!r} mentions an unknown label")
-        pairs.append((p[0], p[1]))
-    order = QuasiOrder(elements, pairs)
     objects = _need(doc, "objects", where, dict)
-    ranks = {}
-    for e in elements:
-        if e not in objects:
-            _fail(where, f"objects: no rank for {e!r}")
-        r = _integer(objects[e], where, f"objects: rank of {e!r}")
-        if r < 0:
-            _fail(where, f"objects: rank of {e!r} must be a natural number")
-        ranks[e] = r
-    extra = set(objects) - known
-    if extra:
-        _fail(where, f"objects: unknown labels {sorted(extra)}")
+    for e, r in objects.items():
+        if type(r) is not int:
+            _integer(r, where, f"objects: rank of {e!r}")
     bonds = {}
     for key, rows in _need(doc, "maps", where, dict).items():
         parts = key.split("->")
         if len(parts) != 2:
             _fail(where, f'map key {key!r} is not of the form "mu->lambda"')
         mu, lam = parts
-        if mu not in known or lam not in known:
-            _fail(where, f"map {key!r} mentions an unknown label")
-        if not order.leq(lam, mu):
-            _fail(where, f"map {key!r} requires {lam!r} <= {mu!r} in the order")
-        bonds[(lam, mu)] = _matrix_from_doc(
-            rows, ranks[lam], ranks[mu], f"{where}: map {key!r}"
-        )
+        bonds[(lam, mu)] = _matrix_from_doc(rows, objects.get(mu, 0), f"{where}: map {key!r}")
     try:
-        system = InverseSystem(order, ring, ranks, bonds)
+        system = InverseSystem(QuasiOrder(elements, pairs), ring, objects, bonds)
         require_functorial(system)
     except ValueError as err:  # BondError and InvalidSystemError included
         _fail(where, str(err))
@@ -170,30 +152,18 @@ def ses_from_doc(doc, where: str = "ses") -> SystemSES:
     sub = system_from_doc(_need(doc, "sub", where), f"{where}.sub")
     mid = system_from_doc(_need(doc, "middle", where), f"{where}.middle")
     quot = system_from_doc(_need(doc, "quotient", where), f"{where}.quotient")
-    if not (sub.index == mid.index == quot.index):
-        _fail(where, "the three systems disagree on the index order")
-    if not (sub.ring == mid.ring == quot.ring):
-        _fail(where, "the three systems disagree on the ring")
-    inject = {}
-    project = {}
-    for key, store, rows_of, cols_of in (
-        ("inclusion", inject, mid, sub),
-        ("projection", project, quot, mid),
-    ):
-        table = _need(doc, key, where, dict)
-        for e in mid.index.elements:
-            if e not in table:
-                _fail(where, f"{key}: no matrix for {e!r}")
-            store[e] = _matrix_from_doc(
-                table[e],
-                rows_of.rank(e),
-                cols_of.rank(e),
-                f"{where}: {key} at {e!r}",
-            )
+    inject, project = (
+        {
+            e: _matrix_from_doc(rows, source.ranks.get(e, 0), f"{where}: {key} at {e!r}")
+            for e, rows in _need(doc, key, where, dict).items()
+        }
+        for key, source in (("inclusion", sub), ("projection", mid))
+    )
     ses = SystemSES(sub=sub, mid=mid, quot=quot, inject=inject, project=project)
-    report = validate_ses(ses)
-    if not report.ok:
-        _fail(where, f"not a short exact sequence: {list(report.violations[:3])}")
+    try:
+        require_exact(ses)
+    except ValueError as err:
+        _fail(where, str(err))
     return ses
 
 

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 from .complexes import RoosComplex, build_complex
 from .linalg import IntMatrix, Ring
-from .systems import SystemSES, core_elements, validate_ses
+from .systems import SystemSES, core_elements, require_exact
 
 # Miller-Rabin with the primes up to 41 as bases decides primality for every
 # n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -380,9 +380,7 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rep = validate_ses(e)
-    if not rep.ok:
-        raise ValueError(f"not a levelwise short exact sequence: {rep.violations[:3]}")
+    require_exact(e)
     ring = e.mid.ring
     keep = core_elements(e.mid.index)
     if len(keep) < len(e.mid.index):

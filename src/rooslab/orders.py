@@ -35,13 +35,13 @@ class QuasiOrder:
     def __init__(self, elements, pairs=()):
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
-            raise ValueError("duplicate element labels")
+            raise ValueError("duplicate index labels")
         pos = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         up = [set([i]) for i in range(n)]
         for a, b in pairs:
             if a not in pos or b not in pos:
-                raise ValueError(f"pair ({a!r}, {b!r}) mentions unknown element")
+                raise ValueError(f"pair ({a!r}, {b!r}) mentions an unknown label")
             up[pos[a]].add(pos[b])
         # Transitive closure by fixpoint iteration.
         changed = True

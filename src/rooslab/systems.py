@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .linalg import IntMatrix, Ring, cohomology_at, invariant_factors
+from .linalg import IntMatrix, Ring, _integral, cohomology_at, invariant_factors
 from .orders import QuasiOrder
 
 TRUNCATION_NOTE = (
@@ -54,18 +54,28 @@ class InverseSystem:
     __slots__ = ("index", "ring", "ranks", "_bonds", "_report")
 
     def __init__(self, index: QuasiOrder, ring: Ring, ranks: dict, bonds: dict):
+        given, ranks = ranks, {}
         for e in index.elements:
-            if e not in ranks:
-                raise ValueError(f"missing rank for index element {e!r}")
-            if ranks[e] < 0:
-                raise ValueError(f"negative rank at {e!r}")
+            if e not in given:
+                raise ValueError(f"no rank for {e!r}")
+            r = given[e]
+            try:
+                r = r if type(r) is int else _integral(r)
+            except (TypeError, ValueError):
+                r = -1
+            if r < 0:
+                raise ValueError(f"rank of {e!r} must be a natural number")
+            ranks[e] = r
+        if len(given) != len(ranks):  # every index label has one: the rest are extra
+            extra = [e for e in given if e not in index]
+            raise ValueError(f"ranks given for unknown labels {extra}")
         full = {}
         declared = {}
         for (lam, mu), m in bonds.items():
             if lam not in index or mu not in index:
-                raise BondError(f"bond ({lam!r}, {mu!r}) mentions unknown element")
+                raise BondError(f"bond ({lam!r}, {mu!r}) mentions an unknown label")
             if not index.leq(lam, mu):
-                raise BondError(f"bond declared for unrelated pair ({lam!r}, {mu!r})")
+                raise BondError(f"bond ({lam!r}, {mu!r}) requires {lam!r} <= {mu!r} in the order")
             if m.shape != (ranks[lam], ranks[mu]):
                 raise BondError(
                     f"bond ({lam!r}, {mu!r}) has shape {m.shape}, "
@@ -101,7 +111,7 @@ class InverseSystem:
     def _set(self, index, ring, ranks, bonds, report) -> None:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ranks", MappingProxyType(dict(ranks)))
+        object.__setattr__(self, "ranks", MappingProxyType(ranks))
         object.__setattr__(self, "_bonds", bonds)
         object.__setattr__(self, "_report", report)
 
@@ -273,7 +283,7 @@ class TruncationSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "family", tuple(tuple(int(v) for v in f) for f in self.family)
+            self, "family", tuple(tuple(map(_integral, f)) for f in self.family)
         )
         if not self.family:
             raise ValueError("family must be nonempty")
@@ -361,39 +371,56 @@ class SystemSES:
 
 
 def validate_ses(e: SystemSES) -> SesReport:
-    """Exact levelwise verification: shapes, injectivity, surjectivity,
-    ker = im, and commutation of both maps with every bond. Computed once
-    per sequence and stored on it."""
+    """Exact levelwise verification: one ring and one index, a matrix of
+    the right shape at every index label and none elsewhere, injectivity,
+    surjectivity, ker = im, and commutation of both maps with every bond.
+    Computed once per sequence and stored on it."""
     if e._report is None:
         object.__setattr__(e, "_report", _check_ses(e))
     return e._report
+
+
+def require_exact(e: SystemSES) -> None:
+    """Raise ValueError unless ``validate_ses`` passes."""
+    report = validate_ses(e)
+    if not report.ok:
+        raise ValueError(f"not a short exact sequence: {list(report.violations[:3])}")
 
 
 def _check_ses(e: SystemSES) -> SesReport:
     violations = []
     ring = e.mid.ring
     if e.sub.ring != ring or e.quot.ring != ring:
-        violations.append("rings differ between the three systems")
+        violations.append("the three systems disagree on the ring")
     if e.sub.index != e.mid.index or e.quot.index != e.mid.index:
-        violations.append("index orders differ between the three systems")
+        violations.append("the three systems disagree on the index order")
+    if violations:
         return SesReport(False, tuple(violations))
     for name, sys in (("sub", e.sub), ("mid", e.mid), ("quot", e.quot)):
         rep = validate_system(sys)
         if not rep.ok:
             violations.append(f"{name} system fails functoriality: {rep.violations[:3]}")
     idx = e.mid.index
+    tables = (("inject", e.inject, e.mid, e.sub), ("project", e.project, e.quot, e.mid))
+    for name, table, *_ in tables:
+        extra = [k for k in table if k not in idx]
+        if extra:
+            violations.append(f"{name}: matrices at unknown labels {extra}")
+    shaped = set()  # the elements whose two maps enter the products below
     for lam in idx.elements:
-        if lam not in e.inject or lam not in e.project:
-            violations.append(f"missing inject/project matrix at {lam!r}")
+        maps = []
+        for name, table, target, source in tables:
+            m, want = table.get(lam), (target.rank(lam), source.rank(lam))
+            if m is None:
+                violations.append(f"{name}: no matrix for {lam!r}")
+            elif m.shape != want:
+                violations.append(f"{name} at {lam!r} has shape {m.shape}, expected {want}")
+            else:
+                maps.append(m)
+        if len(maps) < 2:
             continue
-        i_m = e.inject[lam]
-        p_m = e.project[lam]
-        if i_m.shape != (e.mid.rank(lam), e.sub.rank(lam)):
-            violations.append(f"inject shape wrong at {lam!r}")
-            continue
-        if p_m.shape != (e.quot.rank(lam), e.mid.rank(lam)):
-            violations.append(f"project shape wrong at {lam!r}")
-            continue
+        shaped.add(lam)
+        i_m, p_m = maps
         if not ring.is_zero_matrix(p_m @ i_m):
             violations.append(f"project * inject nonzero at {lam!r}")
             continue
@@ -419,7 +446,7 @@ def _check_ses(e: SystemSES) -> SesReport:
         if not exact:
             violations.append(f"not exact at middle for {lam!r}")
     for lam, mu in idx.related_pairs(include_diagonal=False):
-        if lam not in e.inject or mu not in e.inject:
+        if lam not in shaped or mu not in shaped:
             continue
         left = e.inject[lam] @ e.sub.bond(lam, mu)
         right = e.mid.bond(lam, mu) @ e.inject[mu]

@@ -68,6 +68,8 @@ def test_category_law_validation():
     wrong[("f", "1a")] = "1b"
     with pytest.raises(CategoryError, match="endpoints"):
         FiniteCategory(["a", "b"], mor, ids, wrong)
+    with pytest.raises(CategoryError, match=r"non-objects \['ghost'\]"):
+        FiniteCategory(["a", "b"], mor, dict(ids, ghost="1a"), good)
     lazy = dict(good)
     lazy[("1b", "f")] = "f"
     lazy[("f", "1a")] = "f"

@@ -36,7 +36,7 @@ from rooslab.io import (
 from rooslab.category import FiniteCategory, thin_category
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring
 from rooslab.orders import QuasiOrder
-from rooslab.systems import InverseSystem, SystemSES
+from rooslab.systems import InverseSystem, SystemSES, require_exact, require_functorial
 
 
 def _cospan():
@@ -201,12 +201,80 @@ def test_ses_doc_errors():
         ses_from_doc(doc)
 
     doc = json.loads(json.dumps(base))
-    doc["quotient"]["indices"] = ["a", "c"]
-    doc["quotient"]["objects"] = {"a": 1, "c": 1}
-    doc["quotient"]["leq"] = [["a", "c"]]
-    doc["quotient"]["maps"] = {"c->a": [[1]]}
+    _other_index(doc)
     with pytest.raises(DocumentError, match="index order"):
         ses_from_doc(doc)
+
+    doc = json.loads(json.dumps(base))
+    doc["inclusion"]["w"] = [[1], [0]]
+    with pytest.raises(DocumentError, match=r"unknown labels \['w'\]"):
+        ses_from_doc(doc)
+
+
+def _other_index(doc):
+    """Give the quotient of a ``_constant_ses`` document another index."""
+    doc["quotient"].update(
+        indices=["a", "c"], objects={"a": 1, "c": 1}, leq=[["a", "c"]], maps={"c->a": [[1]]}
+    )
+
+
+def _library_system(doc):
+    """The system of a document built by the library constructors alone,
+    from the document's values as they are."""
+    bonds = {}
+    for key, rows in doc["maps"].items():
+        mu, lam = key.split("->")
+        bonds[(lam, mu)] = IntMatrix(rows) if rows else IntMatrix.zeros(0, doc["objects"][mu])
+    order = QuasiOrder(doc["indices"], doc["leq"])
+    require_functorial(InverseSystem(order, parse_ring(doc["ring"]), doc["objects"], bonds))
+
+
+def _library_ses(doc):
+    """The same for a sequence document whose three systems are valid."""
+    sub, mid, quot = (system_from_doc(doc[k]) for k in ("sub", "middle", "quotient"))
+    inject, project = (
+        {e: IntMatrix(rows) for e, rows in doc[k].items()} for k in ("inclusion", "projection")
+    )
+    require_exact(SystemSES(sub, mid, quot, inject, project))
+
+
+@pytest.mark.parametrize(
+    "kind,mutate",
+    [
+        ("system", lambda d: d.update(indices=["x", "x", "y", "z"])),
+        ("system", lambda d: d["leq"].append(["x", "w"])),
+        ("system", lambda d: d["objects"].pop("y")),
+        ("system", lambda d: d["objects"].update(y=-1)),
+        ("system", lambda d: d["objects"].update(w=1)),
+        ("system", lambda d: d["maps"].update({"w->x": [[1]]})),
+        ("system", lambda d: d["maps"].update({"x->y": [[1]]})),
+        ("system", lambda d: d["maps"].update({"y->x": [[1, 2]]})),
+        ("ses", lambda d: d["sub"].update(ring="Z/4")),
+        ("ses", _other_index),
+        ("ses", lambda d: d["inclusion"].pop("a")),
+        ("ses", lambda d: d["projection"].update(b=[[0, 1], [0, 0]])),
+        ("ses", lambda d: d["inclusion"].update(w=[[1], [0]])),
+    ],
+    ids=[
+        "duplicate-label", "leq-unknown-label", "no-rank", "negative-rank",
+        "rank-unknown-label", "map-unknown-label", "map-unrelated", "map-shape",
+        "ses-ring", "ses-index", "ses-no-matrix", "ses-shape", "ses-unknown-label",
+    ],
+)
+def test_one_message_per_fact(kind, mutate):
+    """Each fact a document can break is checked by one library constructor:
+    the parser's message is that constructor's, after the location."""
+    if kind == "system":
+        doc, build, parse = system_to_doc(_cospan()), _library_system, system_from_doc
+    else:
+        doc, build, parse = ses_to_doc(_constant_ses()), _library_ses, ses_from_doc
+    doc = json.loads(json.dumps(doc))
+    mutate(doc)
+    with pytest.raises(ValueError) as library:
+        build(doc)
+    with pytest.raises(DocumentError) as parsed:
+        parse(doc)
+    assert str(parsed.value) == f"{kind}: {library.value}"
 
 
 def _with_string_names(cat):

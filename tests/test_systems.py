@@ -61,6 +61,32 @@ def test_ranks_are_read_only():
     assert repr(s) == "InverseSystem(|index|=3, ring=Z, ranks={'x': 1, 'y': 1, 'z': 1})"
 
 
+@pytest.mark.parametrize(
+    "ranks,needle",
+    [
+        ({"a": 1}, "no rank for 'b'"),
+        ({"a": 1, "b": -1}, "rank of 'b' must be a natural number"),
+        ({"a": 1, "b": "1"}, "rank of 'b' must be a natural number"),
+        ({"a": 1, "b": 1.5}, "rank of 'b' must be a natural number"),
+        ({"a": 1, "b": None}, "rank of 'b' must be a natural number"),
+        ({"a": 1, "b": 1, "zz": 4}, r"unknown labels \['zz'\]"),
+    ],
+    ids=["missing", "negative", "string", "fraction", "none", "unknown-label"],
+)
+def test_ranks_are_naturals_at_the_index_labels_only(ranks, needle):
+    q = QuasiOrder(["a", "b"], [("a", "b")])
+    with pytest.raises(ValueError, match=needle):
+        InverseSystem(q, Ring.integers(), ranks, {("a", "b"): IntMatrix([[1]])})
+
+
+def test_a_rank_that_int_leaves_unchanged_is_that_integer():
+    q = QuasiOrder(["a", "b"], [("a", "b")])
+    bonds = {("a", "b"): IntMatrix([[1]])}
+    same = InverseSystem(q, Ring.integers(), {"a": 1.0, "b": 1}, bonds)
+    assert same == InverseSystem(q, Ring.integers(), {"a": 1, "b": 1}, bonds)
+    assert type(same.rank("a")) is int
+
+
 def test_composition_mismatch_reported():
     q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
     s = InverseSystem(
@@ -289,6 +315,15 @@ def test_truncated_a_single_function():
     assert s.rank("1") == 1
 
 
+def test_truncation_heights_are_integers():
+    assert TruncationSpec(2, [(1.0, 2)]).family == ((1, 2),)
+    for bad in (1.5, "1", None):
+        with pytest.raises((TypeError, ValueError)):
+            TruncationSpec(2, [(bad, 2)])
+    with pytest.raises(ValueError, match="not an integer"):
+        TruncationSpec(2, [(1.5, 2.9)])
+
+
 def test_truncated_a_three_functions():
     spec = TruncationSpec(2, [(2, 1), (1, 2), (2, 2)])
     s = truncated_A(spec)
@@ -354,6 +389,29 @@ def test_validate_ses_constant_split():
     rep = validate_ses(broken)
     assert not rep.ok
     assert any("surjective" in v for v in rep.violations)
+
+
+def _constant_pair(project_b):
+    q = QuasiOrder(["a", "b"], [("a", "b")])
+    ring = Ring.integers()
+    g = InverseSystem(q, ring, {"a": 1, "b": 1}, {("a", "b"): IntMatrix.identity(1)})
+    gg = InverseSystem(q, ring, {"a": 2, "b": 2}, {("a", "b"): IntMatrix.identity(2)})
+    project = {"a": IntMatrix([[0, 1]]), "b": project_b}
+    inject = {e: IntMatrix([[1], [0]]) for e in "ab"}
+    return SystemSES(sub=g, mid=gg, quot=g, inject=inject, project=project)
+
+
+def test_validate_ses_reports_wrong_shapes_and_labels():
+    # A wrong-shaped map is reported, and the bond products that would
+    # need it are skipped instead of raising.
+    rep = validate_ses(_constant_pair(IntMatrix([[0, 1], [0, 0]])))
+    assert rep.violations == ("project at 'b' has shape (2, 2), expected (1, 2)",)
+    e = _constant_pair(IntMatrix([[0, 1]]))
+    assert validate_ses(e).ok
+    extra = SystemSES(e.sub, e.mid, e.quot, dict(e.inject, w=IntMatrix([[1]])), e.project)
+    assert validate_ses(extra).violations == ("inject: matrices at unknown labels ['w']",)
+    missing = SystemSES(e.sub, e.mid, e.quot, e.inject, {"b": e.project["b"]})
+    assert validate_ses(missing).violations == ("project: no matrix for 'a'",)
 
 
 def test_validate_ses_mod2_diagonal_example():
