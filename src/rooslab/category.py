@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .linalg import IntMatrix, Ring
+from .linalg import IntMatrix, Ring, _integral
 from .orders import QuasiOrder
 from .systems import InverseSystem
 
@@ -165,11 +165,24 @@ class FreeFunctor:
     __slots__ = ("category", "ring", "ranks", "_action")
 
     def __init__(self, category: FiniteCategory, ring: Ring, ranks: dict, action: dict):
+        given, ranks = ranks, {}
         for o in category.objects:
-            if o not in ranks:
-                raise FunctorError(f"missing rank for object {o!r}")
-            if ranks[o] < 0:
-                raise FunctorError(f"negative rank at {o!r}")
+            if o not in given:
+                raise FunctorError(f"no rank for {o!r}")
+            r = given[o]
+            try:
+                r = r if type(r) is int else _integral(r)
+            except (TypeError, ValueError):
+                r = -1
+            if r < 0:
+                raise FunctorError(f"rank of {o!r} must be a natural number")
+            ranks[o] = r
+        if len(given) != len(ranks):  # every object has one: the rest are extra
+            extra = [o for o in given if o not in ranks]
+            raise FunctorError(f"ranks given for unknown labels {extra}")
+        extra = [name for name in action if name not in category._mor]
+        if extra:
+            raise FunctorError(f"actions given for unknown morphisms {extra}")
         full = {}
         for name in category.morphism_names:
             src, tgt = category.src(name), category.tgt(name)
@@ -200,7 +213,7 @@ class FreeFunctor:
                     )
         object.__setattr__(self, "category", category)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ranks", MappingProxyType(dict(ranks)))
+        object.__setattr__(self, "ranks", MappingProxyType(ranks))
         object.__setattr__(self, "_action", full)
 
     def __setattr__(self, *_):

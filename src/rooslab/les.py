@@ -36,6 +36,15 @@ empty has a zero composite without a scan, and a cochain-map square whose
 product has no rows or no columns is the same empty matrix on both sides, so
 it is not multiplied. Every check still runs wherever it can fail.
 
+Nor does the route run past the core's height h, one less than the number
+of entries of its longest strict chain (``_height``). A normalized cochain
+sits on a strict chain, so C^k = 0 for every k > h in all three complexes:
+every group above h is trivial, every map into or out of a zero space is
+zero, and every position above h reads rank(in)=0 rank(out)=0 dim=0 and
+holds. The complexes, groups, cochain-map checks and field loop run to
+degree min(n_max, h) (sub one degree further), and the degrees above are
+filled in by that shape, which no input can make fail.
+
 All three systems and both levelwise maps are first restricted to the
 homotopy-final core of the index (``systems.core_elements``: equivalence
 classes collapsed to representatives, then up beat points removed), which
@@ -55,7 +64,8 @@ from itertools import chain
 from typing import NamedTuple
 
 from .complexes import RoosComplex, build_complex
-from .linalg import IntMatrix, Ring
+from .linalg import GroupInvariants, IntMatrix, Ring
+from .orders import QuasiOrder
 from .systems import SystemSES, core_elements, require_exact
 
 # Miller-Rabin with the primes up to 41 as bases decides primality for every
@@ -348,6 +358,19 @@ def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, maps: di
     return IntMatrix._trusted(rows, cx_from.total_ranks[n])
 
 
+def _height(q: QuasiOrder) -> int:
+    """One less than the number of entries of a longest strict chain of the
+    partial order q: no strict tuple has more entries, so a normalized
+    complex on q has no cochains above this degree."""
+    up = q.up_sets()
+    height = {}
+    # Strictly above e, an element has a strictly smaller up-set: visiting
+    # elements by the size of their up-sets settles every one above e first.
+    for e in sorted(q.elements, key=lambda e: len(up[e])):
+        height[e] = max((height[b] + 1 for b in up[e] if b != e), default=0)
+    return max(height.values(), default=0)
+
+
 def _check_position(field, name, degree, at, dim, in_map: list, out_map: list, ri: int, ro: int):
     """Exactness at one position over the field rendered as ``name``; each
     map is the list of its columns, the classes of the images of its source
@@ -393,28 +416,31 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         )
     # validate_ses checked all three systems on the whole index; their
     # restrictions inherit the verdict, so build_complex only looks it up.
-    # The core is a partial order: normalized complexes.
-    cx_sub = build_complex(e.sub, n_max + 2, strict=True)
-    cx_mid = build_complex(e.mid, n_max + 1, strict=True)
-    cx_quot = build_complex(e.quot, n_max + 1, strict=True)
+    # The core is a partial order: normalized complexes, with no cochains
+    # above its height. The route runs to top = min(n_max, height) only.
+    top = min(n_max, _height(e.mid.index))
+    cx_sub = build_complex(e.sub, top + 2, strict=True)
+    cx_mid = build_complex(e.mid, top + 1, strict=True)
+    cx_quot = build_complex(e.quot, top + 1, strict=True)
     groups = {}
+    trivial = GroupInvariants.trivial()
     for n in range(n_max + 2):
-        groups[("sub", n)] = cx_sub.cohomology(n)
+        groups[("sub", n)] = cx_sub.cohomology(n) if n <= top + 1 else trivial
     for n in range(n_max + 1):
-        groups[("mid", n)] = cx_mid.cohomology(n)
-        groups[("quot", n)] = cx_quot.cohomology(n)
+        groups[("mid", n)] = cx_mid.cohomology(n) if n <= top else trivial
+        groups[("quot", n)] = cx_quot.cohomology(n) if n <= top else trivial
 
-    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
-    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
+    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(top + 2)}
+    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(top + 1)}
     # Both sides of a cochain-map square are C^n(from) -> C^{n+1}(to); with
     # either space zero they are the same empty matrix.
-    for n in range(n_max + 1):
+    for n in range(top + 1):
         if cx_sub.dimension(n) and cx_mid.dimension(n + 1):
             left = cx_mid.diffs[n + 1] @ inj[n]
             right = inj[n + 1] @ cx_sub.diffs[n + 1]
             if not ring.matrices_equal(left, right):
                 raise ValueError(f"inclusion is not a cochain map at degree {n}")
-    for n in range(n_max):
+    for n in range(top):
         if cx_mid.dimension(n) and cx_quot.dimension(n + 1):
             left = cx_quot.diffs[n + 1] @ prj[n]
             right = prj[n + 1] @ cx_mid.diffs[n + 1]
@@ -450,7 +476,7 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
                     field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
                 )
         d_prev, rd_prev = [], 0
-        for n in range(n_max + 1):
+        for n in range(top + 1):
             f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
             g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
             # Connecting map: lift each class of quot through the projection,
@@ -475,6 +501,12 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
                 _check_position(field, name, n, "quot", h["quot", n].dim, g, d, rg, rd),
             )
             d_prev, rd_prev = d, rd
+        # Every space above the height is zero, and so is every map there.
+        for n in range(top + 1, n_max + 1):
+            positions += (
+                LesPosition(name, n, at, True, "rank(in)=0 rank(out)=0 dim=0")
+                for at in ("sub", "mid", "quot")
+            )
     return LesReport(
         ring=ring,
         n_max=n_max,

@@ -380,8 +380,11 @@ def invariant_factors(m: IntMatrix) -> list[int]:
     pivot is exact, and the pivot contributes the factor 1. The residual
     block, which has no unit entry, goes to a diagonal-only
     ``smith_normal_form``. The Smith diagonal is canonical, so the pivot
-    order never shows in the result.
+    order never shows in the result. A matrix with no rows or no columns has
+    no factor and costs no set-up.
     """
+    if not (m.nrows and m.ncols):
+        return []
     rows = {}
     cols = {}
     for i, row in enumerate(m.rows):

@@ -156,6 +156,31 @@ def test_functor_validation_errors():
     mod2 = dict(ok)
     mod2[("a", "a")] = IntMatrix([[3]])
     _ = FreeFunctor(c, Ring.modular(2), ranks, mod2)
+    # An integral float is the rank it stands for, as it is for a system.
+    assert FreeFunctor(c, Ring.integers(), dict(ranks, a=1.0), ok).rank("a") == 1
+
+
+@pytest.mark.parametrize(
+    "ranks, action, message",
+    [
+        ({}, {}, "no rank for '*'"),
+        ({"*": -1}, {}, "rank of '*' must be a natural number"),
+        ({"*": "1"}, {}, "rank of '*' must be a natural number"),
+        ({"*": 1.5}, {}, "rank of '*' must be a natural number"),
+        ({"*": None}, {}, "rank of '*' must be a natural number"),
+        ({"*": 1, "ghost": 3}, {}, "ranks given for unknown labels ['ghost']"),
+        ({"*": 1}, {"nope": IntMatrix([[5]])}, "actions given for unknown morphisms ['nope']"),
+    ],
+)
+def test_functor_refuses_rank_and_action_faults(ranks, action, message):
+    with pytest.raises(FunctorError) as err:
+        FreeFunctor(_terminal(), Ring.integers(), ranks, action)
+    assert str(err.value) == message
+    if not action:
+        # A rank fault reads as InverseSystem words it: one message per fact.
+        with pytest.raises(ValueError) as system:
+            InverseSystem(QuasiOrder(["*"]), Ring.integers(), ranks, {})
+        assert str(system.value) == message
 
 
 def test_functor_ranks_are_read_only():

@@ -14,6 +14,7 @@ from rooslab.les import (
     Field,
     _axpy,
     _check_position,
+    _cohomology,
     _combine,
     _echelon,
     _levelwise_matrix,
@@ -24,7 +25,7 @@ from rooslab.les import (
     les_of_ses,
 )
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors
-from rooslab.orders import QuasiOrder
+from rooslab.orders import QuasiOrder, chains_upto
 from rooslab.systems import InverseSystem, SystemSES, core_elements, validate_ses
 
 from oracle_linalg import solve
@@ -76,6 +77,31 @@ def _coupled_cospan_ses():
     return SystemSES(sub=sub, mid=mid, quot=quot, inject=inject, project=project)
 
 
+def _crown_ses(coupled=False, ring=Ring.integers()):
+    """A sequence on the 2-2-2 crown a0, a1 < b0, b1 < c0, c1, each element
+    below both elements of the next level. No strict up-set has a least
+    element, so the crown is its own core, of height 2 (its order complex is
+    the octahedron). Coupled: the sub bonds are 2, and the middle bonds
+    [[2, c], [0, 1]] couple sub and quotient, with c = 1 out of the bottom
+    level and 0 out of the middle one, so both paths from a to c agree."""
+    levels = (("a0", "a1"), ("b0", "b1"), ("c0", "c1"))
+    pairs = [(x, y) for low, high in zip(levels, levels[1:]) for x in low for y in high]
+    q = QuasiOrder([x for level in levels for x in level], pairs)
+    if not coupled:
+        return _split_constant_ses(q, ring)
+    bottom = set(levels[0])
+    two = IntMatrix([[2]])
+    one = IntMatrix([[1]])
+    mid = {(x, y): IntMatrix([[2, int(x in bottom)], [0, 1]]) for x, y in pairs}
+    return SystemSES(
+        sub=InverseSystem(q, ring, {e: 1 for e in q.elements}, {p: two for p in pairs}),
+        mid=InverseSystem(q, ring, {e: 2 for e in q.elements}, mid),
+        quot=InverseSystem(q, ring, {e: 1 for e in q.elements}, {p: one for p in pairs}),
+        inject={e: IntMatrix([[1], [0]]) for e in q.elements},
+        project={e: IntMatrix([[0, 1]]) for e in q.elements},
+    )
+
+
 def _block(rng, rows, cols):
     return IntMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols)
 
@@ -117,6 +143,13 @@ def _coupled_two_level_ses(rng, ring=Ring.integers()):
         inject=inject,
         project=project,
     )
+
+
+def _core_height(e):
+    """Height of the core of the middle index, read off its strict chains."""
+    core = e.mid.index.restrict(core_elements(e.mid.index))
+    blocks = chains_upto(core, len(core), strict=True)
+    return max((n for n, b in enumerate(blocks) if b), default=0)
 
 
 def _position(rep, field, degree, at):
@@ -583,6 +616,9 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
     # Each of f_n, g_n and the connecting map is the out-map at one position
     # and the in-map at the next; les_of_ses ranks it once and reads the rank
     # at both. Every list handed to _rank is kept, so identities stay unique.
+    # Degrees above the core's height are zero by shape and ranked not at
+    # all: each applied field ranks three maps in each degree up to
+    # min(n_max, height).
     ranked = []
 
     def recording_rank(field, vectors):
@@ -590,15 +626,17 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
         return _rank(field, vectors)
 
     monkeypatch.setattr(rooslab.les, "_rank", recording_rank)
-    calls = 0
+    tall = 0
     for e, fields in itertools.islice(_field_loop_cases(), 240):
         ranked.clear()
-        les_of_ses(e, 2, fields=fields)
-        calls += len(ranked)
+        rep = les_of_ses(e, 2, fields=fields)
+        height = _core_height(e)
+        assert len(ranked) == 3 * len(rep.fields) * (min(2, height) + 1)
         for p in {p for p, _ in ranked}:
             lists = [v for q, v in ranked if q == p]
             assert len({id(v) for v in lists}) == len(lists), (p, fields)
-    assert calls > 2000
+        tall += height == 1 and bool(rep.fields)
+    assert tall >= 30
 
 
 # The route of les_of_ses before zero-dimensional spaces were made free, kept
@@ -793,6 +831,64 @@ def test_les_matches_the_reference_route():
         nonzero_c1 += build_complex(core, 1, strict=True).dimension(1) > 0
         cases += 1
     assert cases == 720 and nonzero_c1 >= 60
+
+
+def test_les_stops_at_the_core_height(monkeypatch):
+    # Above the core's height every cochain space is zero. les_of_ses builds
+    # no complex past min(n_max, height) + 2 and forms no field cohomology
+    # above degree min(n_max, height) + 1; its report still equals the
+    # reference route's, which builds and eliminates every degree to n_max.
+    built, rows_of, formed = [], {}, []
+
+    def keeping_complex(s, n_max, strict=False):
+        built.append(build_complex(s, n_max, strict=strict))
+        return built[-1]
+
+    def keeping_rows(m):
+        rows = _sparse_rows(m)
+        rows_of[id(rows)] = m, rows  # kept alive, so no id is reused
+        return rows
+
+    def recording_cohomology(field, d_out_rows, d_in_cols, ambient):
+        formed.append(rows_of[id(d_out_rows)][0])
+        return _cohomology(field, d_out_rows, d_in_cols, ambient)
+
+    rng = random.Random(1717)
+    sequences = [_split_constant_ses(), _coupled_cospan_ses(), _crown_ses(), _crown_ses(True)]
+    sequences += [_crown_ses(True, Ring.modular(4)), _crown_ses(False, Ring.modular(6))]
+    sequences += [random_ses(rng, split=i % 2 == 0) for i in range(8)]
+    heights = set()
+    for e in sequences:
+        height = _core_height(e)
+        heights.add(height)
+        for n_max in range(5):
+            top = min(n_max, height)
+            built.clear()
+            rows_of.clear()
+            formed.clear()
+            with monkeypatch.context() as m:
+                m.setattr(rooslab.les, "build_complex", keeping_complex)
+                m.setattr(rooslab.les, "_sparse_rows", keeping_rows)
+                m.setattr(rooslab.les, "_cohomology", recording_cohomology)
+                rep = les_of_ses(e, n_max)
+            groups, fields, skipped, positions = _reference_les_of_ses(e, n_max)
+            assert rep.n_max == n_max
+            assert rep.groups == groups
+            assert list(rep.groups) == list(groups)
+            assert rep.fields == fields
+            assert rep.skipped == skipped
+            assert [tuple(p) for p in rep.positions] == [
+                (p.field, p.degree, p.at, p.ok, p.detail) for p in positions
+            ]
+            assert rep.ok
+            assert len(built) == 3 and max(cx.n_max for cx in built) == top + 2
+            degrees = [
+                next(k for cx in built for k, d in enumerate(cx.diffs) if d is out) - 1
+                for out in formed
+            ]
+            assert formed and max(degrees) == top + 1
+    assert heights == {0, 1, 2}
+    assert les_of_ses(_crown_ses(), 2).groups[("sub", 2)] == GroupInvariants.free(1)
 
 
 def test_zero_spaces_cost_no_elimination(monkeypatch):

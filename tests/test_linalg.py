@@ -396,6 +396,19 @@ def test_invariant_factors_match_smith_diagonal():
         assert linalg.smith_normal_form(m) == want, m
 
 
+def test_invariant_factors_of_an_empty_side_cost_no_set_up(monkeypatch):
+    # A matrix with no rows or no columns has no factor: the call returns
+    # before it builds the row index or the column heap, and never reaches
+    # the Smith form.
+    def refuse(*args):
+        raise AssertionError("set-up on an empty side")
+
+    monkeypatch.setattr(linalg.heapq, "heapify", refuse)
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert invariant_factors(IntMatrix.zeros(*shape)) == []
+
+
 def test_invariant_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
