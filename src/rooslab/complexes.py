@@ -46,7 +46,7 @@ the same kernel from the equalizer description as an independent route.
 
 from __future__ import annotations
 
-from .linalg import GroupInvariants, IntMatrix, Ring, cohomology_at, invariant_factors
+from .linalg import GroupInvariants, IntMatrix, Ring, _integral, cohomology_at, invariant_factors
 from .orders import QuasiOrder, chains_upto, face
 from .systems import InvalidSystemError  # noqa: F401  (importable from here too)
 from .systems import InverseSystem, core_elements, require_functorial
@@ -257,7 +257,8 @@ class Cochain:
     def __init__(self, complex: RoosComplex, degree: int, vector):
         if not 0 <= degree <= complex.n_max:
             raise ValueError(f"degree {degree} outside built range 0..{complex.n_max}")
-        vector = tuple(complex.ring.reduce(int(x)) for x in vector)
+        reduce = complex.ring.reduce
+        vector = tuple(reduce(x if type(x) is int else _integral(x)) for x in vector)
         if len(vector) != complex.dimension(degree):
             raise ValueError(
                 f"vector length {len(vector)} != degree-{degree} dimension "

@@ -11,8 +11,8 @@ proves exact; with a free quotient it splits, so it stays exact over Q and
 every GF(p) when R = Z, and over GF(p) for every p dividing m.
 
 The field-side linear algebra is one routine, ``_echelon``: the reduced row
-echelon form of sparse rows over the field, taken separately for every
-field. Ranks are its pivot counts. A cocycle's coordinates are its entries
+echelon form of sparse rows over the field, taken in each run of the field
+route. Ranks are its pivot counts. A cocycle's coordinates are its entries
 at the free (pivot-less) columns of d_out; the coboundaries, the columns of
 d_in, are brought to echelon form in those coordinates, and a class's
 coordinates are a cocycle's coordinates reduced modulo that form, read at
@@ -24,7 +24,21 @@ as extra columns.
 
 Each induced map (f_n into the middle, g_n onto the quotient, and the
 connecting map) is the out-map at one position and the in-map at the next;
-it is ranked once per field and its rank read at both.
+it is ranked once per run and its rank read at both.
+
+Over Z one run can serve every field. The route first runs once over the
+integers themselves (``_Integers``): no scalar is reduced and only +-1 is
+inverted, so a run that completes pivoted on +-1 alone and made only
+unimodular row operations on integer rows. Its pivot rows keep a 1 at their
+pivot and a 0 at every other pivot modulo any p, so, read mod p, it is a
+complete run over GF(p) with the same pivot columns, ranks and dimensions;
+and it is the run over Q as it stands, since Q takes the same +-1 pivots.
+Every composite, cocycle and lift check that is zero as an integer is zero
+mod p, and a position records only ranks and dimensions. So when the run
+completes and every position holds, each field takes those positions under
+its own name. On the first non-unit pivot, any ArithmeticError or a failing
+position the run is dropped and every field runs on its own, as it does
+over Z/m and when only one field applies, where a shared run saves nothing.
 
 The route pays only for the spaces the core carries; on a one-point core
 every cochain space above degree 0 is zero. ``_echelon`` never sees an empty
@@ -137,6 +151,25 @@ class Field:
         if self.p:
             return pow(x, -1, self.p)
         return x if x == 1 or x == -1 else 1 / Fraction(x)
+
+
+class _Integers:
+    """The integers in the place of a field, for the one shared run of the
+    field route over Z: scalars are never reduced, and only +-1 is inverted,
+    so a run that completes made only unimodular row operations."""
+
+    __slots__ = ()
+
+    def norm(self, x):
+        return x
+
+    def inv(self, x):
+        if x == 1 or x == -1:
+            return x
+        raise ArithmeticError(f"pivot {x} is not a unit of the integers")
+
+
+_INTEGERS = _Integers()
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict]:
@@ -456,25 +489,27 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
     inj_cols = {n: _sparse_cols(m) for n, m in inj.items()}
     prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
     prj_cols = {n: _sparse_cols(m) for n, m in prj.items()}
-    applied = []
+    applied = {}
     skipped = {}
-    positions = []
     for p in dict.fromkeys(fields):
         field = Field(p)
         name = field.render()
         if not ring.is_integers and p and ring.modulus % p:
             skipped[name] = f"{p} does not divide the modulus {ring.modulus}"
-            continue
-        if not ring.is_integers and p == 0:
+        elif not ring.is_integers and p == 0:
             skipped[name] = "no rational coefficients over a modular ring"
-            continue
-        applied.append(name)
+        else:
+            applied[name] = field
+
+    def run(field, name) -> list:
+        """The positions of the long sequence over the field, as ``name``."""
         h = {}
         for part, cx in complexes.items():
             for n in range(cx.n_max):
                 h[part, n] = _cohomology(
                     field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
                 )
+        positions = []
         d_prev, rd_prev = [], 0
         for n in range(top + 1):
             f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
@@ -507,6 +542,25 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
                 LesPosition(name, n, at, True, "rank(in)=0 rank(out)=0 dim=0")
                 for at in ("sub", "mid", "quot")
             )
+        return positions
+
+    # One run over the integers serves every field when it completes on +-1
+    # pivots and every position holds; else each field runs on its own.
+    shared = None
+    if ring.is_integers and len(applied) > 1:
+        try:
+            integral = run(_INTEGERS, None)
+        except ArithmeticError:
+            pass
+        else:
+            if all(p.ok for p in integral):
+                shared = integral
+    positions = []
+    for name, field in applied.items():
+        if shared is None:
+            positions += run(field, name)
+        else:
+            positions += (LesPosition(name, *p[1:]) for p in shared)
     return LesReport(
         ring=ring,
         n_max=n_max,

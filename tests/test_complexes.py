@@ -2,6 +2,7 @@
 the contraction operator."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -386,6 +387,18 @@ def test_cochain_block_access_and_arithmetic():
         Cochain(cx, 5, [])
     with pytest.raises(ValueError, match="no block"):
         u.value(("w",))
+
+
+def test_cochain_refuses_non_integral_entries():
+    # Entries pass through linalg._integral, as IntMatrix entries do: a
+    # value that int() would change is refused, not truncated.
+    cx = build_complex(_cospan_times_two(), 1)
+    for bad in (1.5, Fraction(7, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Cochain(cx, 0, [bad, 0, 0])
+    u = Cochain(cx, 0, [2.0, True, Fraction(4, 2)])
+    assert u.vector == (2, 1, 2)
+    assert all(type(x) is int for x in u.vector)
 
 
 def test_contract_frozen_example():

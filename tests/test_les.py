@@ -11,6 +11,7 @@ import rooslab.les
 from rooslab.complexes import build_complex, derived_limit
 from rooslab.gen import random_ses
 from rooslab.les import (
+    _INTEGERS,
     Field,
     _axpy,
     _check_position,
@@ -614,29 +615,43 @@ def test_field_loop_matches_the_reference_loop():
 
 def test_each_induced_map_is_ranked_once(monkeypatch):
     # Each of f_n, g_n and the connecting map is the out-map at one position
-    # and the in-map at the next; les_of_ses ranks it once and reads the rank
-    # at both. Every list handed to _rank is kept, so identities stay unique.
-    # Degrees above the core's height are zero by shape and ranked not at
-    # all: each applied field ranks three maps in each degree up to
-    # min(n_max, height).
+    # and the in-map at the next; a run of the field route ranks it once and
+    # reads the rank at both. Every list handed to _rank is kept, so
+    # identities stay unique. Degrees above the core's height are zero by
+    # shape and ranked not at all: a run ranks three maps in each degree up
+    # to min(n_max, height). Over Z with more than one field, one run over
+    # the integers serves every field; a dropped integer run ranks at most
+    # that many maps before it stops, and then each field makes a run.
     ranked = []
 
     def recording_rank(field, vectors):
-        ranked.append((field.p, vectors))
+        ranked.append((field, vectors))
         return _rank(field, vectors)
 
     monkeypatch.setattr(rooslab.les, "_rank", recording_rank)
-    tall = 0
+    tall = shared = dropped = 0
     for e, fields in itertools.islice(_field_loop_cases(), 240):
         ranked.clear()
         rep = les_of_ses(e, 2, fields=fields)
         height = _core_height(e)
-        assert len(ranked) == 3 * len(rep.fields) * (min(2, height) + 1)
-        for p in {p for p, _ in ranked}:
-            lists = [v for q, v in ranked if q == p]
-            assert len({id(v) for v in lists}) == len(lists), (p, fields)
+        per_run = 3 * (min(2, height) + 1)
+        integral = sum(f is _INTEGERS for f, _ in ranked)
+        own = len(ranked) - integral
+        if e.mid.ring.is_integers and len(rep.fields) > 1:
+            if own:
+                assert integral <= per_run
+                assert own == per_run * len(rep.fields)
+                dropped += 1
+            else:
+                assert integral == per_run
+                shared += 1
+        else:
+            assert integral == 0 and own == per_run * len(rep.fields)
+        for field in {f for f, _ in ranked}:
+            lists = [v for f, v in ranked if f is field]
+            assert len({id(v) for v in lists}) == len(lists), (field, fields)
         tall += height == 1 and bool(rep.fields)
-    assert tall >= 30
+    assert tall >= 30 and shared >= 30 and dropped >= 4
 
 
 # The route of les_of_ses before zero-dimensional spaces were made free, kept
@@ -894,14 +909,14 @@ def test_les_stops_at_the_core_height(monkeypatch):
 def test_zero_spaces_cost_no_elimination(monkeypatch):
     # On a one-point core every cochain space above degree 0 is zero. Each
     # call of _echelon is recorded: none may get an empty list of rows, and
-    # a field makes at most four (the ranks of f, g and the connecting map in
-    # degree 0, and the lift through the projection). Before zero spaces
-    # were skipped, this sequence made 20 calls per field, 16 of them with
-    # no rows.
+    # a run of the field route makes at most four (the ranks of f, g and the
+    # connecting map in degree 0, and the lift through the projection).
+    # Before zero spaces were skipped, this sequence made 20 calls per field,
+    # 16 of them with no rows.
     calls = []
 
     def recording_echelon(field, rows, width):
-        calls.append((field.p, len(rows)))
+        calls.append((field, len(rows)))
         return _echelon(field, rows, width)
 
     monkeypatch.setattr(rooslab.les, "_echelon", recording_echelon)
@@ -910,8 +925,92 @@ def test_zero_spaces_cost_no_elimination(monkeypatch):
     rep = les_of_ses(e, 3)
     assert rep.ok and len(rep.positions) == 48
     assert calls and all(n > 0 for _, n in calls)
-    for p in (0, 2, 3, 5):
-        assert 0 < sum(q == p for q, _ in calls) <= 4
+    # Its pivots are all +-1, so the one run over the integers serves Q,
+    # GF(2), GF(3) and GF(5), none of which eliminates anything.
+    assert all(f is _INTEGERS for f, _ in calls) and len(calls) <= 4
+
+
+def _one_point_ses(inject, project):
+    """A sequence Z -> Z^2 -> Z on one point, with the given column and row."""
+    q = QuasiOrder(["a"], [])
+    ring = Ring.integers()
+    return SystemSES(
+        sub=_constant(q, ring, 1),
+        mid=_constant(q, ring, 2),
+        quot=_constant(q, ring, 1),
+        inject={"a": IntMatrix([[x] for x in inject])},
+        project={"a": IntMatrix([list(project)])},
+    )
+
+
+def test_one_integer_run_serves_every_field(monkeypatch):
+    # Over Z, one run of the field route over the integers serves Q and
+    # every GF(p) when it pivots on +-1 only and every position holds. On
+    # its first non-unit pivot, any ArithmeticError or a failing position it
+    # is dropped, and each field makes its own run. Either way the report is
+    # the reference route's, whose every field runs on its own.
+    seen = []
+
+    def recording_echelon(field, rows, width):
+        seen.append(field)
+        return _echelon(field, rows, width)
+
+    def check(e, n_max, fields=None, check_position=_check_position):
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rooslab.les, "_echelon", recording_echelon)
+            m.setattr(rooslab.les, "_check_position", check_position)
+            rep = les_of_ses(e, n_max, fields=fields)
+        groups, want_fields, want_skipped, want_positions = _reference_les_of_ses(e, n_max, fields)
+        assert rep.groups == groups
+        assert rep.fields == want_fields
+        assert rep.skipped == want_skipped
+        assert [tuple(p) for p in rep.positions] == [
+            (p.field, p.degree, p.at, p.ok, p.detail) for p in want_positions
+        ]
+        assert rep.ok
+        # The integer run comes first, then any run of a field.
+        k = next((i for i, f in enumerate(seen) if f is not _INTEGERS), len(seen))
+        assert all(f is not _INTEGERS for f in seen[k:])
+        return rep, seen[:k], seen[k:]
+
+    field_lists = (None, (5, 2), (2, 3, 0))
+    # Every pivot is +-1: _echelon sees the integer ring and nothing else.
+    for e in (_split_constant_ses(), _crown_ses(), _one_point_ses((1, 0), (0, 1))):
+        for fields in field_lists:
+            _, integral, own = check(e, 2, fields)
+            assert integral and not own
+    # The lift through the projection (3, -2) is the first elimination, and
+    # no entry of it is a unit: the integer run is dropped there, and then
+    # every field runs on its own.
+    e = _one_point_ses((2, 3), (3, -2))
+    for fields in field_lists:
+        rep, integral, own = check(e, 1, fields)
+        assert len(integral) == 1
+        assert [f.render() for f in dict.fromkeys(own)] == list(rep.fields)
+
+    # A position that fails over the integers drops the run too.
+    def failing_over_z(field, name, *args):
+        position = _check_position(field, name, *args)
+        return position._replace(ok=False) if field is _INTEGERS else position
+
+    _, integral, own = check(_split_constant_ses(), 1, check_position=failing_over_z)
+    assert integral and {f.p for f in own} == {0, 2, 3, 5}
+    # Coupled sequences with torsion, where some field reads other positions
+    # than another: no one run can have served them all.
+    rng = random.Random(1818)
+    disagree = 0
+    for _ in range(40):
+        e = _coupled_two_level_ses(rng)
+        for fields in field_lists:
+            rep, integral, own = check(e, 1, fields)
+            details = {}
+            for p in rep.positions:
+                details.setdefault(p.field, []).append(p.detail)
+            if len({tuple(d) for d in details.values()}) > 1:
+                disagree += 1
+                assert own
+    assert disagree >= 50
 
 
 def test_position_checks_match_the_reference_on_broken_maps():
