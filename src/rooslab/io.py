@@ -72,19 +72,27 @@ def parse_ring(tag) -> Ring:
 
 def _matrix_from_doc(rows, ncols, where) -> IntMatrix:
     """A list of equal-length integer lists, taken as it is; ``ncols`` is
-    the width of a matrix with no rows. The constructor that receives the
-    matrix checks its shape."""
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+    the width of a matrix with no rows. Each row is frozen as it is checked;
+    a row that is no list is named before any entry that is no integer. The
+    constructor that receives the matrix checks its shape."""
+    if not isinstance(rows, list):
         _fail(where, "matrix must be a list of rows")
+    frozen = []
+    odd = []  # the entries that are no integers, in row order
     for r in rows:
+        if not isinstance(r, list):
+            _fail(where, "matrix must be a list of rows")
         for x in r:
             if type(x) is not int:
-                _integer(x, where, "matrix entry")
-    if rows:
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+                odd.append(x)
+        frozen.append(tuple(r))
+    if odd:
+        _integer(odd[0], where, "matrix entry")
+    if frozen:
+        ncols = len(frozen[0])
+        if any(len(r) != ncols for r in frozen):
             _fail(where, "matrix rows have different lengths")
-    return IntMatrix._trusted(rows, ncols)
+    return IntMatrix._trusted(frozen, ncols)
 
 
 def _matrix_to_doc(m: IntMatrix) -> list:
@@ -357,43 +365,23 @@ def render_invariants(g: GroupInvariants) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def parse_invariants(text: str) -> GroupInvariants:
-    text = text.strip()
-    if text == "0":
-        return GroupInvariants.trivial()
-    free = 0
-    torsion = []
-    for part in text.split("+"):
-        part = part.strip()
-        try:
-            if part.startswith("Z^"):
-                free += int(part[2:])
-            elif part.startswith("Z/"):
-                torsion.append(int(part[2:]))
-            elif part == "Z":
-                free += 1
-            else:
-                _fail("invariants", f"unrecognized factor {part!r}")
-        except ValueError as err:
-            if isinstance(err, DocumentError):
-                raise
-            _fail("invariants", f"bad factor {part!r}")
-    try:
-        return GroupInvariants(free, tuple(torsion))
-    except ValueError as err:
-        _fail("invariants", str(err))
-
-
 def read_document(path: str) -> dict:
+    """The JSON value in the file at ``path``, read as UTF-8 text with
+    universal newlines, so a syntax error's line:col is that of the file
+    opened in text mode."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except FileNotFoundError:
         _fail(path, "no such file")
     except OSError as err:
         _fail(path, f"cannot read: {err.strerror or err}")
     except UnicodeDecodeError as err:
         _fail(path, f"not UTF-8 text: {err.reason} at byte {err.start}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as err:
         _fail(f"{path}:{err.lineno}:{err.colno}", err.msg)
 

@@ -123,9 +123,9 @@ class IntMatrix:
         """
         self = object.__new__(cls)
         frozen = tuple(map(tuple, rows))
-        object.__setattr__(self, "rows", frozen)
-        object.__setattr__(self, "nrows", len(frozen))
-        object.__setattr__(self, "ncols", ncols)
+        _SET_ROWS(self, frozen)
+        _SET_NROWS(self, len(frozen))
+        _SET_NCOLS(self, ncols)
         return self
 
     def __setattr__(self, *_):
@@ -167,31 +167,10 @@ class IntMatrix:
         return IntMatrix._trusted([[c * x for x in row] for row in self.rows], self.ncols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """Matrix product, with both factors' zeros skipped.
-
-        The right factor's rows are scanned into (column, value) pairs once
-        up front, so the inner loops touch only nonzero entries — the
-        differentials this multiplies are overwhelmingly sparse.
-        """
+        """Matrix product, with both factors' zeros skipped (``sparse_product``)."""
         if self.ncols != other.nrows:
             raise ShapeMismatchError(f"mul {self.shape} by {other.shape}")
-        ocols = other.ncols
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-        out = [[0] * ocols for _ in range(self.nrows)]
-        for i, arow in enumerate(self.rows):
-            target = out[i]
-            for k, a in enumerate(arow):
-                if a:
-                    if a == 1:
-                        for j, b in sparse[k]:
-                            target[j] += b
-                    elif a == -1:
-                        for j, b in sparse[k]:
-                            target[j] -= b
-                    else:
-                        for j, b in sparse[k]:
-                            target[j] += a * b
-        return IntMatrix._trusted(out, ocols)
+        return sparse_product(self.rows, sparse_rows(other), other.ncols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -220,6 +199,42 @@ class IntMatrix:
         if self.ncols != other.ncols:
             raise ShapeMismatchError(f"vstack {self.shape} with {other.shape}")
         return IntMatrix._trusted(self.rows + other.rows, self.ncols)
+
+
+# The slot descriptors' setters: ``_trusted`` fills a new matrix through them,
+# past the ``__setattr__`` that keeps every matrix immutable.
+_SET_ROWS = IntMatrix.rows.__set__
+_SET_NROWS = IntMatrix.nrows.__set__
+_SET_NCOLS = IntMatrix.ncols.__set__
+
+
+def sparse_rows(m: IntMatrix) -> list:
+    """Each row of m as its (column, value) pairs for the nonzero entries:
+    the right factor's form in ``sparse_product``, built once per matrix."""
+    return [[(j, b) for j, b in enumerate(row) if b] for row in m.rows]
+
+
+def sparse_product(rows, sparse: list, ncols: int) -> IntMatrix:
+    """The product of the matrix with ``rows`` and the one whose
+    ``sparse_rows`` are ``sparse`` and whose width is ``ncols``; shapes are
+    the caller's to match. The inner loops touch only nonzero entries of
+    both factors: the differentials and bonds this multiplies are
+    overwhelmingly sparse.
+    """
+    out = [[0] * ncols for _ in rows]
+    for arow, target in zip(rows, out):
+        for k, a in enumerate(arow):
+            if a:
+                if a == 1:
+                    for j, b in sparse[k]:
+                        target[j] += b
+                elif a == -1:
+                    for j, b in sparse[k]:
+                        target[j] -= b
+                else:
+                    for j, b in sparse[k]:
+                        target[j] += a * b
+    return IntMatrix._trusted(out, ncols)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,14 @@ pairs; antisymmetry is never required, so distinct equivalent elements
 (x <= y <= x) are legal throughout. Index tuples are plain Python tuples of
 element labels, weakly increasing under leq; ``face(t, i)`` deletes entry i.
 
+The closure is kept as one int bitmask per element, its up-set: bit j of
+the mask at position i is set exactly when element i <= element j. The
+closure is Warshall's row-OR algorithm on those masks (Warshall, "A theorem
+on Boolean matrices", J. ACM 9, 1962): n steps, each ORing row k into every
+row that reaches k. ``leq`` is one bit test, and the order's other
+questions (maximum, partiality, directedness, cofinality, classes) are
+ANDs and ORs of masks.
+
 Enumeration order matters: ``chains_upto`` lists tuples lexicographically
 by the position of elements in the user-supplied element list, and that order
 fixes the row/column layout of every differential matrix downstream. It builds
@@ -26,39 +34,38 @@ class QuasiOrder:
 
     ``elements`` keeps the user order (it drives all enumerations); ``leq``
     is the reflexive-transitive closure of the given pairs, stored as each
-    element's up-set: the sorted tuple of the positions above it, itself
-    included. Equality and the hash read the elements and the closure only.
+    element's up-set: an int bitmask over positions, the element's own bit
+    included (``up_masks``). ``up_sets`` lists the same sets as label tuples
+    in position order, built once with the order. Equality and the hash read
+    the elements and the closure only.
     """
 
     __slots__ = ("elements", "_pos", "_up", "_up_sets")
 
     def __init__(self, elements, pairs=()):
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise ValueError("duplicate index labels")
         pos = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        up = [set([i]) for i in range(n)]
+        if len(pos) != len(elements):
+            raise ValueError("duplicate index labels")
+        up = [1 << i for i in range(len(elements))]
         for a, b in pairs:
             if a not in pos or b not in pos:
                 raise ValueError(f"pair ({a!r}, {b!r}) mentions an unknown label")
-            up[pos[a]].add(pos[b])
-        # Transitive closure by fixpoint iteration.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                grown = set(up[i])
-                for j in up[i]:
-                    grown |= up[j]
-                if len(grown) != len(up[i]):
-                    up[i] = grown
-                    changed = True
-        self._set(elements, pos, tuple(tuple(sorted(s)) for s in up))
+            up[pos[a]] |= 1 << pos[b]
+        # Warshall: after step k, every row that reaches k reaches all of k's
+        # row, so the rows are closed under paths through 0..k. A row that
+        # holds k alone adds nothing.
+        for k in range(len(up)):
+            row = up[k]
+            if row != 1 << k:
+                up = [u | row if u >> k & 1 else u for u in up]
+        self._set(elements, pos, tuple(up))
 
     def _set(self, elements: tuple, pos: dict, up: tuple) -> None:
-        at = elements.__getitem__
-        up_sets = {e: tuple(map(at, s)) for e, s in zip(elements, up)}
+        span = range(len(elements))
+        up_sets = {
+            e: tuple([elements[j] for j in span if m >> j & 1]) for e, m in zip(elements, up)
+        }
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_up", up)
@@ -84,19 +91,15 @@ class QuasiOrder:
         return hash((self.elements, self._up))
 
     def __repr__(self) -> str:
-        rels = [
-            (self.elements[i], self.elements[j])
-            for i in range(len(self.elements))
-            for j in self._up[i]
-            if i != j
-        ]
+        rels = [(a, b) for a, up in self._up_sets.items() for b in up if a != b]
         return f"QuasiOrder({list(self.elements)!r}, {rels!r})"
 
     def position(self, e) -> int:
         return self._pos[e]
 
     def leq(self, a, b) -> bool:
-        return self._pos[b] in self._up[self._pos[a]]
+        pos = self._pos
+        return self._up[pos[a]] >> pos[b] & 1 == 1
 
     def equivalent(self, a, b) -> bool:
         return self.leq(a, b) and self.leq(b, a)
@@ -105,53 +108,56 @@ class QuasiOrder:
         """Ordered pairs (a, b) with a <= b, in lexicographic position order."""
         return [
             (a, b)
-            for a, up in self.up_sets().items()
+            for a, up in self._up_sets.items()
             for b in up
             if include_diagonal or a != b
         ]
 
     def is_directed(self) -> bool:
-        for i in range(len(self.elements)):
-            above = set(self._up[i])
-            for j in range(i + 1, len(self.elements)):
-                if above.isdisjoint(self._up[j]):
-                    return False
-        return True
+        up = self._up
+        return all(up[i] & up[j] for i in range(len(up)) for j in range(i + 1, len(up)))
 
     def maximum(self):
         """First element (in user order) above everything, or None."""
-        n = len(self.elements)
-        for j in range(n):
-            if all(j in self._up[i] for i in range(n)):
-                return self.elements[j]
-        return None
+        common = (1 << len(self._up)) - 1
+        for m in self._up:
+            common &= m
+        return self.elements[(common & -common).bit_length() - 1] if common else None
 
     def is_partial(self) -> bool:
-        n = len(self.elements)
-        for i in range(n):
-            for j in self._up[i]:
-                if j != i and i in self._up[j]:
-                    return False
-        return True
+        up = self._up
+        n = len(up)
+        return not any(
+            up[i] >> j & 1 and up[j] >> i & 1 for i in range(n) for j in range(i + 1, n)
+        )
 
     def is_cofinal(self, subset) -> bool:
-        idx = [self._pos[c] for c in subset]
-        return all(any(j in self._up[i] for j in idx) for i in range(len(self.elements)))
+        wanted = 0
+        for c in subset:
+            wanted |= 1 << self._pos[c]
+        return all(m & wanted for m in self._up)
 
     def restrict(self, subset) -> "QuasiOrder":
         """The induced suborder on the elements of ``subset``, in this
         order's element order; labels it does not know are ignored."""
         wanted = set(subset)
         kept = [i for i, e in enumerate(self.elements) if e in wanted]
-        new = {i: k for k, i in enumerate(kept)}
         elements = tuple(self.elements[i] for i in kept)
+        up = []
+        for i in kept:
+            m, row = self._up[i], 0
+            for k, j in enumerate(kept):
+                if m >> j & 1:
+                    row |= 1 << k
+            up.append(row)
         out = object.__new__(QuasiOrder)
-        out._set(
-            elements,
-            {e: k for k, e in enumerate(elements)},
-            tuple(tuple(new[j] for j in self._up[i] if j in new) for i in kept),
-        )
+        out._set(elements, {e: k for k, e in enumerate(elements)}, tuple(up))
         return out
+
+    def up_masks(self) -> tuple:
+        """Each element's up-set as an int bitmask over positions (bit j set
+        when the element is <= element j), in position order."""
+        return self._up
 
     def up_sets(self) -> MappingProxyType:
         """Each element's up-set {b : e <= b}, e included, in position order:
@@ -165,13 +171,17 @@ class QuasiOrder:
         members form a canonical choice of representatives whose induced
         suborder is a partial order.
         """
-        seen = set()
+        up = self._up
+        n = len(up)
+        seen = 0
         out = []
-        for i, e in enumerate(self.elements):
-            if i in seen:
+        for i, m in enumerate(up):
+            if seen >> i & 1:
                 continue
-            cls = [j for j in self._up[i] if i in self._up[j]]
-            seen.update(cls)
+            # A member before i would have put i in its class already.
+            cls = [j for j in range(i, n) if m >> j & 1 and up[j] >> i & 1]
+            for j in cls:
+                seen |= 1 << j
             out.append([self.elements[j] for j in cls])
         return out
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .linalg import IntMatrix, Ring, _integral, cohomology_at, invariant_factors
+from .linalg import sparse_product, sparse_rows
 from .orders import QuasiOrder
 
 TRUNCATION_NOTE = (
@@ -69,42 +70,52 @@ class InverseSystem:
         if len(given) != len(ranks):  # every index label has one: the rest are extra
             extra = [e for e in given if e not in index]
             raise ValueError(f"ranks given for unknown labels {extra}")
-        full = {}
         declared = {}
+        loops = 0  # declared diagonal bonds
         for (lam, mu), m in bonds.items():
-            if lam not in index or mu not in index:
-                raise BondError(f"bond ({lam!r}, {mu!r}) mentions an unknown label")
-            if not index.leq(lam, mu):
+            try:
+                related = index.leq(lam, mu)
+            except KeyError:
+                raise BondError(f"bond ({lam!r}, {mu!r}) mentions an unknown label") from None
+            if not related:
                 raise BondError(f"bond ({lam!r}, {mu!r}) requires {lam!r} <= {mu!r} in the order")
-            if m.shape != (ranks[lam], ranks[mu]):
+            if m.nrows != ranks[lam] or m.ncols != ranks[mu]:
                 raise BondError(
                     f"bond ({lam!r}, {mu!r}) has shape {m.shape}, "
                     f"expected {(ranks[lam], ranks[mu])}"
                 )
             declared[(lam, mu)] = m
+            loops += lam == mu
+        full = {}
+        identities = {}  # one per distinct rank; IntMatrix is immutable
         for e in index.elements:
-            ident = IntMatrix.identity(ranks[e])
+            r = ranks[e]
+            ident = identities.get(r)
+            if ident is None:
+                ident = identities[r] = IntMatrix.identity(r)
             if (e, e) in declared and not ring.matrices_equal(declared[(e, e)], ident):
                 raise BondError(f"diagonal bond at {e!r} is not the identity")
             full[(e, e)] = ident
-        # Derive missing bonds by BFS through declared pairs (deterministic:
-        # neighbors visited in element order, shortest path wins).
-        neighbors = {}
-        for (lam, mu) in declared:
-            if lam != mu:
-                neighbors.setdefault(lam, []).append(mu)
-        for lam in neighbors:
-            neighbors[lam].sort(key=index.position)
-        for lam, mu in index.related_pairs():
-            if (lam, mu) in declared:
-                full[(lam, mu)] = declared[(lam, mu)]
-                continue
-            path = self._bfs_path(lam, mu, neighbors)
-            if path is None:
-                raise BondError(f"bond for ({lam!r}, {mu!r}) neither declared nor derivable")
-            m = declared[(path[0], path[1])]
-            for a, b in zip(path[1:], path[2:]):
-                m = m @ declared[(a, b)]
+        pairs = index.related_pairs()
+        if len(declared) - loops < len(pairs):
+            # Some pair is missing: derive its bond by BFS through declared
+            # pairs (deterministic: neighbors visited in element order,
+            # shortest path wins).
+            neighbors = {}
+            for (lam, mu) in declared:
+                if lam != mu:
+                    neighbors.setdefault(lam, []).append(mu)
+            for lam in neighbors:
+                neighbors[lam].sort(key=index.position)
+        for lam, mu in pairs:
+            m = declared.get((lam, mu))
+            if m is None:
+                path = self._bfs_path(lam, mu, neighbors)
+                if path is None:
+                    raise BondError(f"bond for ({lam!r}, {mu!r}) neither declared nor derivable")
+                m = declared[(path[0], path[1])]
+                for a, b in zip(path[1:], path[2:]):
+                    m = m @ declared[(a, b)]
             full[(lam, mu)] = m
         self._set(index, ring, ranks, full, None)
 
@@ -200,17 +211,23 @@ def validate_system(s: InverseSystem) -> SystemReport:
     # Up-sets in position order visit the triples lam <= mu <= nu in the
     # order of a loop over all three. The constructor makes every diagonal
     # bond exactly the identity, so a triple with lam == mu or mu == nu
-    # composes to the other bond verbatim.
+    # composes to the other bond verbatim. The bonds (mu, nu) out of each mu
+    # are put in sparse form once, the first time mu is a middle.
     up = s.index.up_sets()
+    after = {}
     for lam in s.index.elements:
         for mu in up[lam]:
             if mu == lam:
                 continue
-            first = bonds[(lam, mu)]
-            for nu in up[mu]:
-                if nu == mu:
-                    continue
-                if not ring.matrices_equal(first @ bonds[(mu, nu)], bonds[(lam, nu)]):
+            rights = after.get(mu)
+            if rights is None:
+                rights = after[mu] = [
+                    (nu, sparse_rows(bonds[(mu, nu)])) for nu in up[mu] if nu != mu
+                ]
+            first = bonds[(lam, mu)].rows
+            for nu, right in rights:
+                want = bonds[(lam, nu)]
+                if not ring.matrices_equal(sparse_product(first, right, want.ncols), want):
                     violations.append((lam, mu, nu))
     report = SystemReport(ok=not violations, violations=tuple(violations))
     object.__setattr__(s, "_report", report)
@@ -263,16 +280,19 @@ def core_elements(index: QuasiOrder) -> list:
     a chain for one, shrinks to one point. ``limit_complex`` and
     ``les_of_ses`` build their complexes on this core.
     """
-    leq = index.leq
-    keep = [cls[0] for cls in index.equivalence_classes()]
+    up = index.up_masks()
+    keep = [index.position(cls[0]) for cls in index.equivalence_classes()]
+    alive = sum(1 << p for p in keep)
     while True:
         for p in keep:
-            above = [q for q in keep if q != p and leq(p, q)]
-            if any(all(leq(m, q) for q in above) for m in above):
+            above = up[p] & alive & ~(1 << p)
+            # p is a beat point when some m above it lies below all the rest.
+            if any(above & ~up[m] == 0 for m in keep if above >> m & 1):
                 keep.remove(p)
+                alive ^= 1 << p
                 break
         else:
-            return keep
+            return [index.elements[p] for p in keep]
 
 
 @dataclass(frozen=True)

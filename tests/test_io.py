@@ -19,7 +19,6 @@ from rooslab.io import (
     evc_from_doc,
     family_from_doc,
     family_to_doc,
-    parse_invariants,
     parse_ring,
     parse_system,
     read_document,
@@ -37,6 +36,8 @@ from rooslab.category import FiniteCategory, thin_category
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring
 from rooslab.orders import QuasiOrder
 from rooslab.systems import InverseSystem, SystemSES, require_exact, require_functorial
+
+from invariant_text import parse_invariants
 
 
 def _cospan():
@@ -131,6 +132,27 @@ def test_system_doc_errors(mutate, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([[0.5], 3], "matrix must be a list of rows"),
+        ([[1, 2], [None]], "matrix entry is not an integer: None"),
+        ([[1, None], [True, 2.5]], "matrix entry is not an integer: None"),
+        ([[1, 2], [3], [False]], "matrix entry is not an integer: False"),
+        ([[1, 2], [3]], "matrix rows have different lengths"),
+        ({"0": [1]}, "matrix must be a list of rows"),
+    ],
+)
+def test_matrix_faults_are_named_in_order(rows, reason):
+    # A row that is no list before any entry, the first entry that is no
+    # integer before the row lengths.
+    doc = system_to_doc(_cospan())
+    doc["maps"]["y->x"] = rows
+    with pytest.raises(DocumentError) as err:
+        system_from_doc(doc)
+    assert str(err.value) == f"system: map 'y->x': {reason}"
+
+
 def test_system_doc_functoriality_checked():
     q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
     s = InverseSystem(
@@ -165,6 +187,44 @@ def test_file_round_trip_and_located_errors(tmp_path):
     with pytest.raises(DocumentError) as err:
         parse_system(str(bad))
     assert ":1:" in str(err.value)
+
+
+_PADDED = b'{"note": "' + b"x" * 14997  # 15,007 bytes, past any 8 KiB buffer
+
+
+@pytest.mark.parametrize(
+    "name, data, reason",
+    [
+        ("absent.json", None, "no such file"),
+        ("folder", "dir", "cannot read: Is a directory"),
+        ("empty.json", b"", "1:1: Expecting value"),
+        ("late.json", _PADDED + b'\xff"}', "not UTF-8 text: invalid start byte at byte 15007"),
+        ("cut.json", b'{"a": 1}\xe2\x82', "not UTF-8 text: unexpected end of data at byte 8"),
+        ("bom.json", b'\xef\xbb\xbf{"a": 1}', "1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("crlf.json", b'{\r\n"a": 1,\r\n"b": ]\r\n}', "3:6: Expecting value"),
+        ("cr.json", b'{\r"a": 1,\r"b": ]\r}', "3:6: Expecting value"),
+        ("mixed.json", b'{\r\n"a": 1,\r\r\n  "b" 2}', "4:7: Expecting ':' delimiter"),
+        ("raw-cr.json", b'{"a": "x\ry"}', "1:9: Invalid control character at"),
+    ],
+)
+def test_read_document_error_lines(tmp_path, name, data, reason):
+    """The exact text after the path: line:col counts lines after universal
+    newline translation, and a decoding fault names its absolute byte."""
+    path = tmp_path / name
+    if data == "dir":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    sep = ":" if reason[0].isdigit() else ": "
+    with pytest.raises(DocumentError) as err:
+        read_document(str(path))
+    assert str(err.value) == f"{path}{sep}{reason}"
+
+
+def test_read_document_translates_newlines(tmp_path):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n"a": "x\\r",\r"b": [1,\r\n2]\r\n}\r\n')
+    assert read_document(str(path)) == {"a": "x\r", "b": [1, 2]}
 
 
 def test_ses_round_trip():

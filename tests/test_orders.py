@@ -247,3 +247,68 @@ def test_down_closure_and_restrict():
     assert r.leq("a", "c")
     assert r.is_partial()
 
+
+
+def _pair_list(rng, labels):
+    """Random pairs over ``labels``, with cycles, self-pairs and repeats."""
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 3 * len(labels)))]
+    if pairs and rng.random() < 0.5:
+        pairs += rng.sample(pairs, rng.randint(1, len(pairs)))  # repeated pairs
+    if len(labels) > 2 and rng.random() < 0.4:
+        cycle = rng.sample(labels, rng.randint(2, len(labels)))
+        pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _reachable(labels, pairs):
+    """Brute-force reflexive-transitive closure: a search from every label."""
+    succ = {e: [b for a, b in pairs if a == e] for e in labels}
+    out = {}
+    for e in labels:
+        seen, stack = {e}, [e]
+        while stack:
+            for b in succ[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        out[e] = seen
+    return out
+
+
+def test_mask_kernel_matches_the_definitions_read_off_leq():
+    # The bitmask closure against reachability, and every question the masks
+    # answer against its definition in terms of leq alone.
+    rng = random.Random(1962)
+    cyclic = self_pairs = repeated = 0
+    for _ in range(320):
+        labels = [f"e{i}" for i in range(rng.randint(1, 9))]
+        rng.shuffle(labels)
+        pairs = _pair_list(rng, labels)
+        q = QuasiOrder(labels, pairs)
+        reach = _reachable(labels, pairs)
+        assert {a: {b for b in labels if q.leq(a, b)} for a in labels} == reach
+        assert q.up_sets() == {a: tuple(b for b in labels if b in reach[a]) for a in labels}
+        assert q.up_masks() == tuple(
+            sum(1 << j for j, b in enumerate(labels) if b in reach[a]) for a in labels
+        )
+        leq = q.leq
+        tops = [m for m in labels if all(leq(e, m) for e in labels)]
+        assert q.maximum() == (tops[0] if tops else None)
+        assert q.is_partial() == all(
+            a == b or not (leq(a, b) and leq(b, a)) for a in labels for b in labels
+        )
+        assert q.is_directed() == all(
+            any(leq(a, c) and leq(b, c) for c in labels) for a in labels for b in labels
+        )
+        for subset in ([], labels, rng.sample(labels, rng.randint(1, len(labels)))):
+            assert q.is_cofinal(subset) == all(any(leq(e, c) for c in subset) for e in labels)
+        classes = []
+        for a in labels:
+            if not any(a in cls for cls in classes):
+                classes.append([b for b in labels if leq(a, b) and leq(b, a)])
+        assert q.equivalence_classes() == classes
+        cyclic += len(classes) < len(labels)
+        self_pairs += any(a == b for a, b in pairs)
+        repeated += len(set(pairs)) < len(pairs)
+    assert cyclic >= 150 and self_pairs >= 180 and repeated >= 200

@@ -8,6 +8,7 @@ import pytest
 import rooslab.linalg
 import rooslab.systems
 from rooslab.gen import random_quasi_order, random_ses, random_system
+from rooslab.io import system_from_doc, system_to_doc
 from rooslab.linalg import IntMatrix, Ring, cohomology_at
 from rooslab.orders import QuasiOrder
 from rooslab.systems import (
@@ -179,6 +180,133 @@ def test_core_is_idempotent_and_deterministic():
         assert core_elements(core) == keep
         beats += len(keep) < len(q.equivalence_classes())
     assert beats >= 30
+
+
+def _reference_core_elements(index):
+    """``core_elements`` as it was before the order kept bitmasks: lists of
+    labels and one ``leq`` call per comparison."""
+    leq = index.leq
+    keep = [cls[0] for cls in index.equivalence_classes()]
+    while True:
+        for p in keep:
+            above = [q for q in keep if q != p and leq(p, q)]
+            if any(all(leq(m, q) for q in above) for m in above):
+                keep.remove(p)
+                break
+        else:
+            return keep
+
+
+def test_core_elements_matches_the_list_based_reference():
+    # Random pair lists with cycles, self-pairs and repeats, in shuffled
+    # label order, and the partial orders and maximum-topped orders the
+    # generator draws.
+    rng = random.Random(254)
+    shrunk = 0
+    for i in range(360):
+        if i % 3 == 0:
+            labels = [f"e{k}" for k in range(rng.randint(1, 8))]
+            rng.shuffle(labels)
+            pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(0, 14))]
+            q = QuasiOrder(labels, pairs + pairs[: rng.randint(0, len(pairs))])
+        else:
+            q = random_quasi_order(rng, 7, ensure_max=i % 3 == 1, partial=i % 6 == 2)
+        want = _reference_core_elements(q)
+        assert core_elements(q) == want
+        shrunk += len(want) < len(q.equivalence_classes())
+    assert shrunk >= 150
+
+
+def _reference_bonds(index, ranks, declared):
+    """The constructor's bond table as it was before it skipped the search
+    for a system that declares every pair: an identity per element, then
+    each related pair in order, declared or composed along the BFS path."""
+    full = {(e, e): IntMatrix.identity(ranks[e]) for e in index.elements}
+    neighbors = {}
+    for lam, mu in declared:
+        if lam != mu:
+            neighbors.setdefault(lam, []).append(mu)
+    for lam in neighbors:
+        neighbors[lam].sort(key=index.position)
+    for lam, mu in index.related_pairs():
+        if (lam, mu) in declared:
+            full[(lam, mu)] = declared[(lam, mu)]
+            continue
+        path = InverseSystem._bfs_path(lam, mu, neighbors)
+        if path is None:
+            raise BondError(f"bond for ({lam!r}, {mu!r}) neither declared nor derivable")
+        m = declared[(path[0], path[1])]
+        for a, b in zip(path[1:], path[2:]):
+            m = m @ declared[(a, b)]
+        full[(lam, mu)] = m
+    return full
+
+
+def test_a_system_declaring_every_pair_runs_no_search(monkeypatch):
+    # Documents declare every related pair, so the constructor neither
+    # sorts a neighbour table (by position) nor searches for a path.
+    def refuse(*_):
+        raise AssertionError("built a search though every pair is declared")
+
+    rng = random.Random(61)
+    docs = [system_to_doc(random_system(rng, max_elements=6)) for _ in range(60)]
+    monkeypatch.setattr(InverseSystem, "_bfs_path", staticmethod(refuse))
+    monkeypatch.setattr(QuasiOrder, "position", refuse)
+    for doc in docs:
+        s = system_from_doc(doc)
+        assert len(s.bonds()) == len(s.index.related_pairs(include_diagonal=True))
+    # A missing pair still needs both.
+    q = QuasiOrder(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    one = IntMatrix([[1]])
+    with pytest.raises(AssertionError, match="every pair is declared"):
+        InverseSystem(q, Ring.integers(), dict.fromkeys("abc", 1), {("a", "b"): one, ("b", "c"): one})
+
+
+def test_a_missing_pair_derives_the_bond_it_always_did():
+    # Bonds replaced by random matrices, so that two paths between the same
+    # ends compose differently and the path the search picks shows; then
+    # some declared pairs dropped. The table, its order included, and any
+    # error equal the reference's.
+    rng = random.Random(62)
+    derived = underivable = 0
+    for _ in range(300):
+        s = random_system(rng, random_quasi_order(rng, 6, ensure_max=rng.random() < 0.5))
+        q = s.index
+        declared = {}
+        for (lam, mu), m in s.bonds().items():
+            through = any(q.leq(lam, x) and q.leq(x, mu) for x in q.elements if x not in (lam, mu))
+            if lam != mu and rng.random() < (0.5 if through else 0.9):
+                r, c = m.shape
+                declared[(lam, mu)] = IntMatrix(
+                    [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)], c
+                )
+        ranks = dict(s.ranks)
+        try:
+            want = _reference_bonds(s.index, ranks, declared)
+        except BondError as err:
+            with pytest.raises(BondError) as got:
+                InverseSystem(s.index, s.ring, ranks, declared)
+            assert str(got.value) == str(err)
+            underivable += 1
+            continue
+        got = InverseSystem(s.index, s.ring, ranks, declared).bonds()
+        assert list(got.items()) == list(want.items())
+        derived += len(declared) < len(s.index.related_pairs())
+    assert derived >= 40 and underivable >= 40
+
+
+def test_elements_of_equal_rank_share_one_identity():
+    rng = random.Random(63)
+    shared = 0
+    for _ in range(40):
+        s = random_system(rng, max_elements=6)
+        for a in s.index.elements:
+            for b in s.index.elements:
+                same = s.bond(a, a) is s.bond(b, b)
+                assert same == (s.rank(a) == s.rank(b))
+                assert s.bond(a, a) == IntMatrix.identity(s.rank(a))
+                shared += same and a != b
+    assert shared >= 40
 
 
 def test_missing_bond_derived_by_composition():
