@@ -31,22 +31,25 @@ A call pays for what the core holds. The restriction copies ranks and
 bonds without checking them again, ``build_complex`` enumerates the tuples
 of every degree in one pass (``orders.chains_upto``), and a degree of
 dimension zero costs no product in the identity check and no reduction in
-``cohomology_at``. On a one-point core every degree above 0 is zero.
+``subquotient``. On a one-point core every degree above 0 is zero.
 
-Over Z, ``RoosComplex.cohomology`` reads H^n from the invariant factors of
-d_n and d_{n+1}, which the complex computes once per differential and
-keeps, so reading several degrees reduces each differential once. Over Z/m
-it goes through ``cohomology_at``, which also stays the public oracle.
+Each differential is assembled and kept in the one sparse form of
+``linalg``, rows of {column: value}. Over Z, ``RoosComplex.cohomology``
+reads H^n from the invariant factors of d_n and d_{n+1}, which the complex
+computes once per differential and keeps, so reading several degrees reduces
+each differential once. Over Z/m it goes through ``linalg.subquotient``, the
+sparse core of the public oracle ``cohomology_at``.
 
-Degree -1 is the zero module, so the degree-0 differential is a matrix with
-zero columns, and cohomology in degree 0 is the kernel of the degree-1
-differential — which is exactly the inverse limit; ``limit_direct`` computes
-the same kernel from the equalizer description as an independent route.
+Degree -1 is the zero module, so the degree-0 differential has empty rows,
+and cohomology in degree 0 is the kernel of the degree-1 differential —
+which is exactly the inverse limit; ``limit_direct`` computes the same
+kernel from the equalizer description as an independent route.
 """
 
 from __future__ import annotations
 
-from .linalg import GroupInvariants, IntMatrix, Ring, _integral, cohomology_at, invariant_factors
+from .linalg import GroupInvariants, Ring, _integral, invariant_factors, product, sparse
+from .linalg import subquotient
 from .orders import QuasiOrder, chains_upto, face
 from .systems import InvalidSystemError  # noqa: F401  (importable from here too)
 from .systems import InverseSystem, core_elements, require_functorial
@@ -66,11 +69,12 @@ class RoosComplex:
     face 0 and the labels of faces 0..n; the rows of t get that matrix at
     face 0 and identity blocks of alternating sign, starting with -1, at
     faces 1..n, accumulating where faces coincide. ``diffs[n]`` is the
-    matrix of the differential from degree n-1 into degree n, with
-    ``diffs[0]`` a zero-column matrix. The complex identity (consecutive
-    differentials compose to zero over the ring) is verified at construction,
-    by a product wherever the three degrees it spans are all nonzero; any
-    other composite is a zero matrix by its shape.
+    differential from degree n-1 into degree n, ``total_ranks[n-1]`` wide,
+    in the sparse form of ``linalg`` (each distinct face-0 matrix is put in
+    that form once). The complex identity (consecutive differentials compose
+    to zero over the ring) is verified at construction, by a product
+    wherever the three degrees it spans are all nonzero; any other composite
+    is zero by its shape.
     Over Z, the invariant factors of each differential are computed on the
     first ``cohomology`` call that needs them and kept (``_factors``).
     """
@@ -96,32 +100,38 @@ class RoosComplex:
             offsets.append(tuple(offs))
             totals.append(acc)
             positions.append(where)
-        diffs = [IntMatrix.zeros(totals[0], 0)]
+        diffs = [[{} for _ in range(totals[0])]]
+        leads = {}  # id of a face-0 matrix -> (that matrix, kept alive; its sparse form)
         for n in range(1, n_max + 1):
             below = positions[n - 1]
-            rows = [[0] * totals[n - 1] for _ in range(totals[n])]
-            for t, row_off, r0 in zip(blocks[n], offsets[n], block_ranks[n]):
+            rows = []
+            for t, r0 in zip(blocks[n], block_ranks[n]):
                 if r0 == 0:
                     continue
                 lead, labels = faces(t)
+                kept = leads.get(id(lead))
+                if kept is None:
+                    kept = leads[id(lead)] = (lead, sparse(lead))
                 col_off = below[labels[0]][0]
-                for i in range(r0):
-                    target = rows[row_off + i]
-                    for j, x in enumerate(lead.rows[i]):
-                        if x:
-                            target[col_off + j] += x
+                block = [{col_off + j: x for j, x in row.items()} for row in kept[1]]
                 sign = 1
                 for label in labels[1:]:
                     sign = -sign
-                    col_off = below[label][0]
-                    for i in range(r0):
-                        rows[row_off + i][col_off + i] += sign
-            diffs.append(IntMatrix._trusted(rows, totals[n - 1]))
+                    col = below[label][0]
+                    for target in block:
+                        x = target.get(col, 0) + sign
+                        if x:
+                            target[col] = x
+                        else:
+                            del target[col]
+                        col += 1
+                rows += block
+            diffs.append(rows)
         for n in range(1, n_max):
             # With C^{n-1}, C^n or C^{n+1} zero the product has an empty side
             # or an empty inner sum: it is zero by its shape.
             if totals[n - 1] and totals[n] and totals[n + 1]:
-                if not ring.is_zero_matrix(diffs[n + 1] @ diffs[n]):
+                if not ring.is_zero(product(diffs[n + 1], diffs[n])):
                     raise ValueError(f"complex identity fails between degrees {n - 1}..{n + 1}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "n_max", n_max)
@@ -141,10 +151,6 @@ class RoosComplex:
     def dimension(self, n: int) -> int:
         return self.total_ranks[n]
 
-    def differential(self, n: int) -> IntMatrix:
-        """Matrix of the differential from degree n-1 into degree n."""
-        return self.diffs[n]
-
     def block_position(self, n: int, label):
         """(offset, rank) of the block labeled ``label`` in degree n."""
         try:
@@ -160,14 +166,15 @@ class RoosComplex:
 
     def cohomology(self, n: int) -> GroupInvariants:
         """H^n = ker d_{n+1} / im d_n. Over Z this is the formula of
-        ``cohomology_at`` on the kept invariant factors, without its check
+        ``subquotient`` on the kept invariant factors, without its check
         that d_{n+1} d_n vanishes: construction checked that already."""
         if not 0 <= n <= self.n_max - 1:
             raise ValueError(
                 f"cohomology in degree {n} needs the complex built to degree {n + 1}"
             )
         if not self.ring.is_integers:
-            return cohomology_at(self.diffs[n], self.diffs[n + 1], self.ring)
+            width = self.total_ranks[n - 1] if n else 0
+            return subquotient(self.diffs[n], self.diffs[n + 1], width, self.ring)
         d_in = self._invariant_factors(n)
         rank_out = len(self._invariant_factors(n + 1))
         return GroupInvariants(
@@ -232,21 +239,14 @@ def limit_direct(s: InverseSystem) -> GroupInvariants:
     for e in q.elements:
         col_off[e] = acc
         acc += s.rank(e)
-    pairs = q.related_pairs(include_diagonal=False)
-    total_rows = sum(s.rank(lam) for lam, _ in pairs)
-    rows = [[0] * acc for _ in range(total_rows)]
-    r = 0
-    for lam, mu in pairs:
-        b = s.bond(lam, mu)
-        for i in range(s.rank(lam)):
-            target = rows[r + i]
-            for j, x in enumerate(b.rows[i]):
-                if x:
-                    target[col_off[mu] + j] += x
-            target[col_off[lam] + i] -= 1
-        r += s.rank(lam)
-    m = IntMatrix(rows, acc)
-    return cohomology_at(IntMatrix.zeros(acc, 0), m, s.ring)
+    rows = []
+    for lam, mu in q.related_pairs(include_diagonal=False):
+        lo, hi = col_off[lam], col_off[mu]
+        for i, brow in enumerate(sparse(s.bond(lam, mu))):
+            row = {hi + j: x for j, x in brow.items()}
+            row[lo + i] = -1  # lam's columns and mu's are disjoint
+            rows.append(row)
+    return subquotient([{} for _ in range(acc)], rows, 0, s.ring)
 
 
 class Cochain:
@@ -326,7 +326,9 @@ def delta(u: Cochain) -> Cochain:
     cx = u.complex
     if u.degree + 1 > cx.n_max:
         raise ValueError("complex not built deep enough to apply the coboundary")
-    return Cochain(cx, u.degree + 1, cx.differential(u.degree + 1).matvec(u.vector))
+    v = u.vector
+    rows = cx.diffs[u.degree + 1]
+    return Cochain(cx, u.degree + 1, [sum(x * v[j] for j, x in row.items()) for row in rows])
 
 
 def contract(u: Cochain, f) -> Cochain:

@@ -12,15 +12,17 @@ every GF(p) when R = Z, and over GF(p) for every p dividing m.
 
 The field-side linear algebra is one routine, ``_echelon``: the reduced row
 echelon form of sparse rows over the field, taken in each run of the field
-route. Ranks are its pivot counts. A cocycle's coordinates are its entries
-at the free (pivot-less) columns of d_out; the coboundaries, the columns of
-d_in, are brought to echelon form in those coordinates, and a class's
-coordinates are a cocycle's coordinates reduced modulo that form, read at
-the free columns where it has no pivot. The kernel vector with a 1 at one
-such column and 0 at every other free column represents the matching
-standard basis class. The two connecting-map lifts are multi-column solves:
-the echelon form of the lifting map with the right-hand sides riding along
-as extra columns.
+route. The differentials and the levelwise maps come in the one sparse form
+of ``linalg``, so ``_echelon`` reads a complex's rows as they are, and
+``linalg.columns`` gives their columns. Ranks are its pivot counts. A
+cocycle's coordinates are its entries at the free (pivot-less) columns of
+d_out; the coboundaries, the columns of d_in, are brought to echelon form in
+those coordinates, and a class's coordinates are a cocycle's coordinates
+reduced modulo that form, read at the free columns where it has no pivot.
+The kernel vector with a 1 at one such column and 0 at every other free
+column represents the matching standard basis class. The two connecting-map
+lifts are multi-column solves: the echelon form of the lifting map with the
+right-hand sides riding along as extra columns.
 
 Each induced map (f_n into the middle, g_n onto the quotient, and the
 connecting map) is the out-map at one position and the in-map at the next;
@@ -78,7 +80,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .complexes import RoosComplex, build_complex
-from .linalg import GroupInvariants, IntMatrix, Ring
+from .linalg import GroupInvariants, Ring, columns, product, sparse
 from .orders import QuasiOrder
 from .systems import SystemSES, core_elements, require_exact
 
@@ -170,23 +172,6 @@ class _Integers:
 
 
 _INTEGERS = _Integers()
-
-
-def _sparse_rows(m: IntMatrix) -> list[dict]:
-    if not m.ncols:
-        return [{} for _ in range(m.nrows)]
-    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
-
-
-def _sparse_cols(m: IntMatrix) -> list[dict]:
-    cols = [{} for _ in range(m.ncols)]
-    if not m.nrows:
-        return cols
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
 
 
 def _axpy(field: Field, target: dict, c, source: dict) -> None:
@@ -377,18 +362,15 @@ def _prime_divisors(modulus: int) -> list[int]:
     return out
 
 
-def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, maps: dict) -> IntMatrix:
-    rows = [[0] * cx_from.total_ranks[n] for _ in range(cx_to.total_ranks[n])]
-    for i, t in enumerate(cx_to.blocks[n]):
-        m = maps[t[0]]
-        row_off = cx_to.offsets[n][i]
-        col_off = cx_from.offsets[n][i]
-        for a, mrow in enumerate(m.rows):
-            target = rows[row_off + a]
-            for b, x in enumerate(mrow):
-                if x:
-                    target[col_off + b] = x
-    return IntMatrix._trusted(rows, cx_from.total_ranks[n])
+def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, maps: dict) -> list:
+    """The levelwise maps in degree n, from C^n of cx_from to C^n of cx_to,
+    as one block-diagonal sparse matrix: at the block of each tuple t, the
+    map at its first entry."""
+    forms = {e: sparse(m) for e, m in maps.items()}
+    rows = []
+    for t, col_off in zip(cx_to.blocks[n], cx_from.offsets[n]):
+        rows += ({col_off + b: x for b, x in row.items()} for row in forms[t[0]])
+    return rows
 
 
 def _height(q: QuasiOrder) -> int:
@@ -469,26 +451,26 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
     # either space zero they are the same empty matrix.
     for n in range(top + 1):
         if cx_sub.dimension(n) and cx_mid.dimension(n + 1):
-            left = cx_mid.diffs[n + 1] @ inj[n]
-            right = inj[n + 1] @ cx_sub.diffs[n + 1]
-            if not ring.matrices_equal(left, right):
+            left = product(cx_mid.diffs[n + 1], inj[n])
+            right = product(inj[n + 1], cx_sub.diffs[n + 1])
+            if not ring.equal(left, right):
                 raise ValueError(f"inclusion is not a cochain map at degree {n}")
     for n in range(top):
         if cx_mid.dimension(n) and cx_quot.dimension(n + 1):
-            left = cx_quot.diffs[n + 1] @ prj[n]
-            right = prj[n + 1] @ cx_mid.diffs[n + 1]
-            if not ring.matrices_equal(left, right):
+            left = product(cx_quot.diffs[n + 1], prj[n])
+            right = product(prj[n + 1], cx_mid.diffs[n + 1])
+            if not ring.equal(left, right):
                 raise ValueError(f"projection is not a cochain map at degree {n}")
 
     if fields is None:
         fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
     complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
-    diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
-    diff_cols = {part: [_sparse_cols(d) for d in cx.diffs] for part, cx in complexes.items()}
-    inj_rows = {n: _sparse_rows(m) for n, m in inj.items()}
-    inj_cols = {n: _sparse_cols(m) for n, m in inj.items()}
-    prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
-    prj_cols = {n: _sparse_cols(m) for n, m in prj.items()}
+    diff_cols = {
+        part: [columns(d, w) for d, w in zip(cx.diffs, (0, *cx.total_ranks))]
+        for part, cx in complexes.items()
+    }
+    inj_cols = {n: columns(m, cx_sub.dimension(n)) for n, m in inj.items()}
+    prj_cols = {n: columns(m, cx_mid.dimension(n)) for n, m in prj.items()}
     applied = {}
     skipped = {}
     for p in dict.fromkeys(fields):
@@ -507,7 +489,7 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         for part, cx in complexes.items():
             for n in range(cx.n_max):
                 h[part, n] = _cohomology(
-                    field, diff_rows[part][n + 1], diff_cols[part][n], cx.dimension(n)
+                    field, cx.diffs[n + 1], diff_cols[part][n], cx.dimension(n)
                 )
         positions = []
         d_prev, rd_prev = [], 0
@@ -516,12 +498,10 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
             # Connecting map: lift each class of quot through the projection,
             # apply the middle differential, pull back through the inclusion.
-            lifts = _solve(
-                field, prj_rows[n], cx_mid.dimension(n), h["quot", n].basis, "projection"
-            )
+            lifts = _solve(field, prj[n], cx_mid.dimension(n), h["quot", n].basis, "projection")
             images = _solve(
                 field,
-                inj_rows[n + 1],
+                inj[n + 1],
                 cx_sub.dimension(n + 1),
                 [_combine(field, diff_cols["mid"][n + 1], c) for c in lifts],
                 "inclusion",

@@ -10,14 +10,18 @@ sequences) reduces to Smith diagonals computed here:
 * ``invariant_factors`` is the production route to that diagonal: sparse
   elimination of unit pivots, then ``smith_normal_form`` of the small
   residual block (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
-* ``cohomology_at`` presents the subquotient ker(d_out)/im(d_in) of a free
-  module as canonical invariants (free rank plus a divisor chain), read off
-  the rank of d_out and the invariant factors of d_in. The Z/m case is
-  handled by lifting to Z and adjoining ``m * identity`` relations.
+* ``subquotient`` presents ker(d_out)/im(d_in) of a free module as canonical
+  invariants (free rank plus a divisor chain), read off the rank of d_out and
+  the invariant factors of d_in. The Z/m case is handled by lifting to Z and
+  adjoining ``m * identity`` relations. ``cohomology_at`` takes dense input.
 
-``IntMatrix`` is dense, immutable, and carries plain Python integers;
-``invariant_factors`` works on a sparse copy. At desk scale exactness matters
-and machine precision does not.
+Differentials, and every matrix reduced here, have one sparse form: a list
+of rows, each {column: nonzero int}, of a width the caller knows. Only this
+module builds it (``sparse``, ``product``, ``columns``) and compares it over
+a ring (``Ring.is_zero``, ``Ring.equal``). ``IntMatrix`` is dense and
+immutable, for documents, bonds and the residual block of the Smith form.
+Entries are plain Python integers: exactness matters, machine precision
+does not.
 """
 
 from __future__ import annotations
@@ -65,21 +69,28 @@ class Ring:
     def reduce(self, x: int) -> int:
         return x if self.modulus == 0 else x % self.modulus
 
-    def is_zero_matrix(self, m: "IntMatrix") -> bool:
-        if self.modulus == 0:
-            return all(x == 0 for row in m.rows for x in row)
+    def is_zero(self, rows) -> bool:
+        """Whether the sparse rows (``sparse``) are zero over the ring."""
         k = self.modulus
-        return all(x % k == 0 for row in m.rows for x in row)
+        if k == 0:
+            return not any(rows)
+        return all(x % k == 0 for row in rows for x in row.values())
+
+    def equal(self, a: list, b: list) -> bool:
+        """Whether two sparse matrices (lists of rows) are equal over the ring."""
+        k = self.modulus
+        if k == 0:
+            return a == b
+        return len(a) == len(b) and all(
+            (ra.get(j, 0) - rb.get(j, 0)) % k == 0
+            for ra, rb in zip(a, b)
+            for j in ra.keys() | rb.keys()
+        )
 
     def matrices_equal(self, a: "IntMatrix", b: "IntMatrix") -> bool:
-        if a.nrows != b.nrows or a.ncols != b.ncols:
+        if a.shape != b.shape:
             return False
-        if self.modulus == 0:
-            return a.rows == b.rows
-        k = self.modulus
-        return all(
-            (x - y) % k == 0 for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)
-        )
+        return a.rows == b.rows if self.modulus == 0 else self.equal(sparse(a), sparse(b))
 
 
 def _integral(x) -> int:
@@ -167,10 +178,25 @@ class IntMatrix:
         return IntMatrix._trusted([[c * x for x in row] for row in self.rows], self.ncols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """Matrix product, with both factors' zeros skipped (``sparse_product``)."""
+        """Matrix product; the zeros of both factors are skipped, the right
+        one's through its sparse form."""
         if self.ncols != other.nrows:
             raise ShapeMismatchError(f"mul {self.shape} by {other.shape}")
-        return sparse_product(self.rows, sparse_rows(other), other.ncols)
+        right = sparse(other)
+        out = [[0] * other.ncols for _ in self.rows]
+        for arow, target in zip(self.rows, out):
+            for k, a in enumerate(arow):
+                if a:
+                    if a == 1:
+                        for j, b in right[k].items():
+                            target[j] += b
+                    elif a == -1:
+                        for j, b in right[k].items():
+                            target[j] -= b
+                    else:
+                        for j, b in right[k].items():
+                            target[j] += a * b
+        return IntMatrix._trusted(out, other.ncols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -208,33 +234,33 @@ _SET_NROWS = IntMatrix.nrows.__set__
 _SET_NCOLS = IntMatrix.ncols.__set__
 
 
-def sparse_rows(m: IntMatrix) -> list:
-    """Each row of m as its (column, value) pairs for the nonzero entries:
-    the right factor's form in ``sparse_product``, built once per matrix."""
-    return [[(j, b) for j, b in enumerate(row) if b] for row in m.rows]
+def sparse(m: IntMatrix) -> list[dict]:
+    """The sparse form of m: each row as {column: entry} for its nonzero
+    entries, of width ``m.ncols``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
 
-def sparse_product(rows, sparse: list, ncols: int) -> IntMatrix:
-    """The product of the matrix with ``rows`` and the one whose
-    ``sparse_rows`` are ``sparse`` and whose width is ``ncols``; shapes are
-    the caller's to match. The inner loops touch only nonzero entries of
-    both factors: the differentials and bonds this multiplies are
-    overwhelmingly sparse.
-    """
-    out = [[0] * ncols for _ in rows]
-    for arow, target in zip(rows, out):
-        for k, a in enumerate(arow):
-            if a:
-                if a == 1:
-                    for j, b in sparse[k]:
-                        target[j] += b
-                elif a == -1:
-                    for j, b in sparse[k]:
-                        target[j] -= b
-                else:
-                    for j, b in sparse[k]:
-                        target[j] += a * b
-    return IntMatrix._trusted(out, ncols)
+def product(a: list, b: list) -> list[dict]:
+    """The product of two sparse matrices, the width of a being the number of
+    rows of b; a sum that comes to 0 is left out."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, z in acc.items() if z})
+    return out
+
+
+def columns(rows: list, width: int) -> list[dict]:
+    """The transpose of a sparse matrix of the given width: its columns, each
+    as {row: entry}."""
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 @dataclass(frozen=True)
@@ -385,29 +411,26 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
     return [a[i][i] for i in range(t)]
 
 
-def invariant_factors(m: IntMatrix) -> list[int]:
-    """The nonzero Smith diagonal of m, d_1 | d_2 | ..., with no transforms.
+def invariant_factors(rows: list) -> list[int]:
+    """The nonzero Smith diagonal d_1 | d_2 | ... of a sparse matrix, with no
+    transforms. Its rows are copied, with a column-to-rows index.
 
-    Rows are held sparse, as {column: value}, with a column-to-rows index.
-    While a +-1 entry is left, one is taken as pivot from a column with the
-    fewest entries (a Markowitz-style choice that keeps fill-in low), and its
-    row and column are eliminated: over Z the Schur complement on a unit
-    pivot is exact, and the pivot contributes the factor 1. The residual
-    block, which has no unit entry, goes to a diagonal-only
+    While a +-1 entry is left, one is taken as pivot from a column
+    with the fewest entries (a Markowitz-style choice that keeps fill-in
+    low), and its row and column are eliminated: over Z the Schur complement
+    on a unit pivot is exact, and the pivot contributes the factor 1. The
+    residual block, which has no unit entry, goes to a diagonal-only
     ``smith_normal_form``. The Smith diagonal is canonical, so the pivot
-    order never shows in the result. A matrix with no rows or no columns has
-    no factor and costs no set-up.
+    order never shows in the result. A matrix with no entry has no factor
+    and costs no set-up.
     """
-    if not (m.nrows and m.ncols):
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
+    if not rows:
         return []
-    rows = {}
     cols = {}
-    for i, row in enumerate(m.rows):
-        entries = {j: x for j, x in enumerate(row) if x}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     # Candidate columns keyed by their entry count; an item is stale once the
     # column's count has changed, and every change pushes a fresh one.
     heap = [(len(members), j) for j, members in cols.items()]
@@ -458,28 +481,23 @@ def invariant_factors(m: IntMatrix) -> list[int]:
     return factors
 
 
-def _lifted_pair(d_in: IntMatrix, d_out: IntMatrix, ring: Ring):
-    """Over Z/m, replace d_out by [d_out | m I] and d_in by [d_in | m I].
-
-    The projection of ker[d_out | m I] onto the first block of coordinates is
-    a bijection onto the lattice {x : d_out x = 0 mod m} (the discarded block
-    is determined by x), and carries a basis to a basis. Relation columns of
-    [d_in | m I] lift uniquely into that kernel as well.
-    """
-    k = ring.modulus
-    r_out = d_out.nrows
-    c = d_out.ncols
-    a = d_out.hstack(IntMatrix.identity(r_out).scale(k))
-    b = d_in.hstack(IntMatrix.identity(c).scale(k))
-    return a, b
-
-
 def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvariants:
+    """``subquotient`` of two dense matrices, whose shapes must line up."""
+    if d_out.ncols != d_in.nrows:
+        raise ShapeMismatchError(
+            f"ambient rank mismatch: d_out has {d_out.ncols} columns, "
+            f"d_in has {d_in.nrows} rows"
+        )
+    return subquotient(sparse(d_in), sparse(d_out), d_in.ncols, ring)
+
+
+def subquotient(d_in: list, d_out: list, width: int, ring: Ring) -> GroupInvariants:
     """Invariants of ker(d_out)/im(d_in) at a single cochain position.
 
-    ``d_in`` maps into the ambient free module (ambient-rank rows), ``d_out``
-    maps out of it (ambient-rank columns); d_out * d_in must vanish over the
-    ring. For maps a (out) and b (in) over Z with a * b = 0,
+    ``d_in`` (sparse, ``width`` columns) maps into the ambient free module,
+    one row per ambient coordinate; ``d_out`` (sparse) maps out of it, its
+    width the ambient rank. d_out * d_in must vanish over the ring. For maps
+    a (out) and b (in) over Z with a * b = 0,
 
         ker a / im b  =  Z^(ambient - rk a - rk b)  +  sum over d_i >= 2 of Z/d_i,
 
@@ -491,43 +509,39 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix, ring: Ring) -> GroupInvaria
     Over Z/m the formula does not apply to the matrices as given: it sees
     only invariant factors, and over Z/4, d_in = diag(2, 0) gives Z/2 + Z/2
     with d_out = diag(0, 2) but Z/4 with d_out = diag(2, 0). The pair is
-    lifted to Z instead (``_lifted_pair``), with the relation columns lifted
-    into the kernel of [d_out | m I]; that lifted pair composes to exactly
-    zero over Z and has the same subquotient, so the formula applies to it.
+    lifted to Z instead: d_out becomes [d_out | m I], whose kernel projects
+    onto {x : d_out x = 0 mod m} bijectively, and the relations [d_in | m I]
+    are lifted into that kernel. The lifted pair composes to exactly zero
+    over Z and has the same subquotient, so the formula applies to it.
     [d_out | m I] has full row rank, so only the lifted relations are
     reduced. A zero ambient module gives the trivial group at once.
     """
-    if d_out.ncols != d_in.nrows:
-        raise ShapeMismatchError(
-            f"ambient rank mismatch: d_out has {d_out.ncols} columns, "
-            f"d_in has {d_in.nrows} rows"
-        )
-    if d_in.nrows == 0:
+    ambient = len(d_in)
+    if ambient == 0:
         # A subquotient of the zero module; d_out * d_in is an empty sum.
         return GroupInvariants.trivial()
-    composite = d_out @ d_in
-    if not ring.is_zero_matrix(composite):
+    composite = product(d_out, d_in)
+    if not ring.is_zero(composite):
         raise CompositionNotZeroError("d_out * d_in is nonzero over " + ring.render())
 
     if ring.is_integers:
-        a, b = d_out, d_in
-        rank_a = len(invariant_factors(a))
+        kernel_rank = ambient - len(invariant_factors(d_out))
+        relations = d_in
     else:
-        a, b = _lifted_pair(d_in, d_out, ring)
-        rank_a = a.nrows  # the m I block is invertible over Q
-        # Lift each relation column into the kernel lattice of [d_out | m I]:
-        # the second block is -(d_out * column) / m, integral by the
-        # composition check above.
+        # [d_out | m I] has full row rank and as many extra columns as rows.
+        kernel_rank = ambient
         k = ring.modulus
-        lift_in = IntMatrix._trusted(
-            [[-x // k for x in row] for row in composite.rows], composite.ncols
-        )
-        # m I block of b lifts with second block -d_out (since
-        # d_out * (m e_j) / m = d_out e_j).
-        b = b.vstack(lift_in.hstack(d_out.neg()))
-
-    factors = invariant_factors(b)
-    free_rank = a.ncols - rank_a - len(factors)
+        # The m I block of [d_in | m I] sits in columns width.. on; each
+        # column of d_in lifts with second block -(d_out * column) / m,
+        # integral by the check above, and each column m e_j of that block
+        # with second block -d_out e_j.
+        relations = [{**row, width + i: k} for i, row in enumerate(d_in)]
+        relations += [
+            {**{j: -x // k for j, x in lift.items()}, **{width + j: -x for j, x in row.items()}}
+            for lift, row in zip(composite, d_out)
+        ]
+    factors = invariant_factors(relations)
+    free_rank = kernel_rank - len(factors)
     if free_rank < 0:
         raise CompositionNotZeroError(
             "relations do not land in the kernel (inconsistent complex)"

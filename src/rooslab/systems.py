@@ -23,8 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .linalg import IntMatrix, Ring, _integral, cohomology_at, invariant_factors
-from .linalg import sparse_product, sparse_rows
+from .linalg import IntMatrix, Ring, _integral, cohomology_at, invariant_factors, product, sparse
 from .orders import QuasiOrder
 
 TRUNCATION_NOTE = (
@@ -211,8 +210,10 @@ def validate_system(s: InverseSystem) -> SystemReport:
     # Up-sets in position order visit the triples lam <= mu <= nu in the
     # order of a loop over all three. The constructor makes every diagonal
     # bond exactly the identity, so a triple with lam == mu or mu == nu
-    # composes to the other bond verbatim. The bonds (mu, nu) out of each mu
-    # are put in sparse form once, the first time mu is a middle.
+    # composes to the other bond verbatim. Each bond is put in sparse form
+    # once, the first time a triple needs it.
+    forms = {}
+    form = lambda pair: forms.get(pair) or forms.setdefault(pair, sparse(bonds[pair]))
     up = s.index.up_sets()
     after = {}
     for lam in s.index.elements:
@@ -221,13 +222,9 @@ def validate_system(s: InverseSystem) -> SystemReport:
                 continue
             rights = after.get(mu)
             if rights is None:
-                rights = after[mu] = [
-                    (nu, sparse_rows(bonds[(mu, nu)])) for nu in up[mu] if nu != mu
-                ]
-            first = bonds[(lam, mu)].rows
+                rights = after[mu] = [(nu, form((mu, nu))) for nu in up[mu] if nu != mu]
             for nu, right in rights:
-                want = bonds[(lam, nu)]
-                if not ring.matrices_equal(sparse_product(first, right, want.ncols), want):
+                if not ring.equal(product(form((lam, mu)), right), form((lam, nu))):
                     violations.append((lam, mu, nu))
     report = SystemReport(ok=not violations, violations=tuple(violations))
     object.__setattr__(s, "_report", report)
@@ -441,15 +438,16 @@ def _check_ses(e: SystemSES) -> SesReport:
             continue
         shaped.add(lam)
         i_m, p_m = maps
-        if not ring.is_zero_matrix(p_m @ i_m):
+        i_s, p_s = sparse(i_m), sparse(p_m)
+        if not ring.is_zero(product(p_s, i_s)):
             violations.append(f"project * inject nonzero at {lam!r}")
             continue
         if ring.is_integers:
             # ker i, coker p and ker p / im i, which ``cohomology_at`` would
             # present, vanish exactly when the ranks and unit factors of the
             # two maps say so; each map is reduced once.
-            f_i = invariant_factors(i_m)
-            f_p = invariant_factors(p_m)
+            f_i = invariant_factors(i_s)
+            f_p = invariant_factors(p_s)
             injective = len(f_i) == i_m.ncols
             surjective = len(f_p) == p_m.nrows and all(d == 1 for d in f_p)
             exact = len(f_i) + len(f_p) == p_m.ncols and all(d == 1 for d in f_i)

@@ -7,7 +7,9 @@ the same deterministic pivot order as the library's diagonal-only
 their answers off those transforms. None of this has a production caller:
 it is the independent route that the tests hold the library's transform-free
 Smith diagonal, its cohomology and the per-field echelon form of ``les``
-against.
+against. ``dense`` and ``differential`` read the library's sparse form back
+into dense matrices, and ``is_zero_over`` tests one, for the tests that
+multiply or compare densely.
 """
 
 from __future__ import annotations
@@ -15,6 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from rooslab.linalg import IntMatrix, Ring, ShapeMismatchError
+
+
+def dense(rows, width: int) -> IntMatrix:
+    """The dense matrix of sparse rows ({column: value}) of the given width."""
+    return IntMatrix([[row.get(j, 0) for j in range(width)] for row in rows], width)
+
+
+def differential(cx, n: int) -> IntMatrix:
+    """The dense matrix of the differential of the complex cx into degree n."""
+    return dense(cx.diffs[n], cx.total_ranks[n - 1] if n else 0)
+
+
+def is_zero_over(ring: Ring, m: IntMatrix) -> bool:
+    """Whether every entry of the dense matrix m is zero over the ring."""
+    return all(ring.reduce(x) == 0 for row in m.rows for x in row)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,13 @@ from rooslab.les import (
     _prime_divisors,
     _rank,
     _solve,
-    _sparse_rows,
     les_of_ses,
 )
-from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors
+from rooslab.linalg import GroupInvariants, IntMatrix, Ring, invariant_factors, sparse
 from rooslab.orders import QuasiOrder, chains_upto
 from rooslab.systems import InverseSystem, SystemSES, core_elements, validate_ses
 
-from oracle_linalg import solve
+from oracle_linalg import differential, solve
 from unimodular import conjugated_ses
 
 
@@ -415,9 +414,9 @@ def test_echelon_agrees_with_integer_oracles():
         m = IntMatrix(
             [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(nrows)], inner
         ) @ IntMatrix([[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(inner)], ncols)
-        rows = _sparse_rows(m)
-        assert _rank(field, rows) == sum(1 for d in invariant_factors(m) if d % p)
-        assert _rank(Field(0), rows) == len(invariant_factors(m))
+        rows = sparse(m)
+        assert _rank(field, rows) == sum(1 for d in invariant_factors(rows) if d % p)
+        assert _rank(Field(0), rows) == len(invariant_factors(rows))
         solvable = []
         for _ in range(3):
             if rng.random() < 0.5:
@@ -490,8 +489,8 @@ def _levelwise_field_reason(e, field):
     that validate_ses passes splits, so this never finds a reason on the
     fields the ring allows, and the reference loop's skips equal its own."""
     for lam in e.mid.index.elements:
-        ri = _rank(field, _sparse_rows(e.inject[lam]))
-        rp = _rank(field, _sparse_rows(e.project[lam]))
+        ri = _rank(field, sparse(e.inject[lam]))
+        rp = _rank(field, sparse(e.project[lam]))
         if ri != e.sub.rank(lam):
             return f"inclusion at {lam!r} loses injectivity over {field.render()}"
         if rp != e.quot.rank(lam):
@@ -503,8 +502,9 @@ def _levelwise_field_reason(e, field):
 
 def _reference_field_loop(e, n_max, fields=None):
     """(fields, skipped, positions) of les_of_ses by the plain field loop:
-    columns read from transposed matrices, every cohomology eliminated
-    whatever its dimension, and both maps ranked again at every position."""
+    dense differentials and levelwise matrices, rows and columns read from
+    them and their transposes, every cohomology eliminated whatever its
+    dimension, and both maps ranked again at every position."""
     keep = core_elements(e.mid.index)
     e = SystemSES(
         sub=e.sub.restrict(keep),
@@ -517,21 +517,22 @@ def _reference_field_loop(e, n_max, fields=None):
     cx_sub = build_complex(e.sub, n_max + 2, strict=True)
     cx_mid = build_complex(e.mid, n_max + 1, strict=True)
     cx_quot = build_complex(e.quot, n_max + 1, strict=True)
-    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
-    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
+    inj = {n: _reference_levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
+    prj = {n: _reference_levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
     if fields is None:
         fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
     complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
 
     def cols(m):
         transposed = [[row[j] for row in m.rows] for j in range(m.ncols)]
-        return _sparse_rows(IntMatrix(transposed, m.nrows))
+        return sparse(IntMatrix(transposed, m.nrows))
 
-    diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
-    diff_cols = {part: [cols(d) for d in cx.diffs] for part, cx in complexes.items()}
-    inj_rows = {n: _sparse_rows(m) for n, m in inj.items()}
+    diffs = {part: _dense_diffs(cx) for part, cx in complexes.items()}
+    diff_rows = {part: [sparse(d) for d in ds] for part, ds in diffs.items()}
+    diff_cols = {part: [cols(d) for d in ds] for part, ds in diffs.items()}
+    inj_rows = {n: sparse(m) for n, m in inj.items()}
     inj_cols = {n: cols(m) for n, m in inj.items()}
-    prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
+    prj_rows = {n: sparse(m) for n, m in prj.items()}
     prj_cols = {n: cols(m) for n, m in prj.items()}
     applied, skipped, positions = [], {}, []
     for p in dict.fromkeys(fields):
@@ -671,6 +672,10 @@ class _ReferencePosition:
     detail: str
 
 
+def _dense_diffs(cx):
+    return [differential(cx, n) for n in range(cx.n_max + 1)]
+
+
 def _reference_sparse_cols(m):
     cols = [{} for _ in range(m.ncols)]
     for i, row in enumerate(m.rows):
@@ -753,20 +758,19 @@ def _reference_les_of_ses(e, n_max, fields=None):
         groups[("quot", n)] = cx_quot.cohomology(n)
     inj = {n: _reference_levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(n_max + 2)}
     prj = {n: _reference_levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(n_max + 1)}
+    complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
+    diffs = {part: _dense_diffs(cx) for part, cx in complexes.items()}
     for n in range(n_max + 1):
-        assert ring.matrices_equal(cx_mid.diffs[n + 1] @ inj[n], inj[n + 1] @ cx_sub.diffs[n + 1])
+        assert ring.matrices_equal(diffs["mid"][n + 1] @ inj[n], inj[n + 1] @ diffs["sub"][n + 1])
     for n in range(n_max):
-        assert ring.matrices_equal(cx_quot.diffs[n + 1] @ prj[n], prj[n + 1] @ cx_mid.diffs[n + 1])
+        assert ring.matrices_equal(diffs["quot"][n + 1] @ prj[n], prj[n + 1] @ diffs["mid"][n + 1])
     if fields is None:
         fields = (0, 2, 3, 5) if ring.is_integers else tuple(_prime_divisors(ring.modulus))
-    complexes = {"sub": cx_sub, "mid": cx_mid, "quot": cx_quot}
-    diff_rows = {part: [_sparse_rows(d) for d in cx.diffs] for part, cx in complexes.items()}
-    diff_cols = {
-        part: [_reference_sparse_cols(d) for d in cx.diffs] for part, cx in complexes.items()
-    }
-    inj_rows = {n: _sparse_rows(m) for n, m in inj.items()}
+    diff_rows = {part: [sparse(d) for d in ds] for part, ds in diffs.items()}
+    diff_cols = {part: [_reference_sparse_cols(d) for d in ds] for part, ds in diffs.items()}
+    inj_rows = {n: sparse(m) for n, m in inj.items()}
     inj_cols = {n: _reference_sparse_cols(m) for n, m in inj.items()}
-    prj_rows = {n: _sparse_rows(m) for n, m in prj.items()}
+    prj_rows = {n: sparse(m) for n, m in prj.items()}
     prj_cols = {n: _reference_sparse_cols(m) for n, m in prj.items()}
     applied, skipped, positions = [], {}, []
     for p in dict.fromkeys(fields):
@@ -853,19 +857,16 @@ def test_les_stops_at_the_core_height(monkeypatch):
     # no complex past min(n_max, height) + 2 and forms no field cohomology
     # above degree min(n_max, height) + 1; its report still equals the
     # reference route's, which builds and eliminates every degree to n_max.
-    built, rows_of, formed = [], {}, []
+    built, formed = [], []
 
     def keeping_complex(s, n_max, strict=False):
         built.append(build_complex(s, n_max, strict=strict))
         return built[-1]
 
-    def keeping_rows(m):
-        rows = _sparse_rows(m)
-        rows_of[id(rows)] = m, rows  # kept alive, so no id is reused
-        return rows
-
+    # The field route reads each complex's own rows, so a formed cohomology
+    # names its differential by identity.
     def recording_cohomology(field, d_out_rows, d_in_cols, ambient):
-        formed.append(rows_of[id(d_out_rows)][0])
+        formed.append(d_out_rows)
         return _cohomology(field, d_out_rows, d_in_cols, ambient)
 
     rng = random.Random(1717)
@@ -879,11 +880,9 @@ def test_les_stops_at_the_core_height(monkeypatch):
         for n_max in range(5):
             top = min(n_max, height)
             built.clear()
-            rows_of.clear()
             formed.clear()
             with monkeypatch.context() as m:
                 m.setattr(rooslab.les, "build_complex", keeping_complex)
-                m.setattr(rooslab.les, "_sparse_rows", keeping_rows)
                 m.setattr(rooslab.les, "_cohomology", recording_cohomology)
                 rep = les_of_ses(e, n_max)
             groups, fields, skipped, positions = _reference_les_of_ses(e, n_max)
@@ -1050,9 +1049,8 @@ def test_cochain_map_checks_still_fire(monkeypatch, which):
         def levelwise(n, cx_from, cx_to, m):
             out = _levelwise_matrix(n, cx_from, cx_to, m)
             if m is maps and n == degree:
-                rows = out.mutable_rows()
-                rows[0][0] += 1
-                out = IntMatrix(rows, out.ncols)
+                out = [dict(row) for row in out]
+                out[0][0] = out[0].get(0, 0) + 1
             return out
         return levelwise
 
