@@ -257,8 +257,8 @@ class Cochain:
     def __init__(self, complex: RoosComplex, degree: int, vector):
         if not 0 <= degree <= complex.n_max:
             raise ValueError(f"degree {degree} outside built range 0..{complex.n_max}")
-        reduce = complex.ring.reduce
-        vector = tuple(reduce(x if type(x) is int else _integral(x)) for x in vector)
+        norm = complex.ring.norm
+        vector = tuple(norm(x if type(x) is int else _integral(x)) for x in vector)
         if len(vector) != complex.dimension(degree):
             raise ValueError(
                 f"vector length {len(vector)} != degree-{degree} dimension "

@@ -10,37 +10,36 @@ the sequence is one of free modules over R = Z or Z/m that ``validate_ses``
 proves exact; with a free quotient it splits, so it stays exact over Q and
 every GF(p) when R = Z, and over GF(p) for every p dividing m.
 
-The field-side linear algebra is one routine, ``_echelon``: the reduced row
-echelon form of sparse rows over the field, taken in each run of the field
-route. The differentials and the levelwise maps come in the one sparse form
-of ``linalg``, so ``_echelon`` reads a complex's rows as they are, and
-``linalg.columns`` gives their columns. Ranks are its pivot counts. A
-cocycle's coordinates are its entries at the free (pivot-less) columns of
-d_out; the coboundaries, the columns of d_in, are brought to echelon form in
-those coordinates, and a class's coordinates are a cocycle's coordinates
-reduced modulo that form, read at the free columns where it has no pivot.
-The kernel vector with a 1 at one such column and 0 at every other free
-column represents the matching standard basis class. The two connecting-map
-lifts are multi-column solves: the echelon form of the lifting map with the
-right-hand sides riding along as extra columns.
+The field-side linear algebra is ``linalg.eliminate``, the elimination of
+``invariant_factors`` too: reduced row echelon form by unit pivots over a
+field (or the base ring of a shared run, below), through ``_echelon``. It
+reads a complex's rows as they are, and ``linalg.columns`` gives their
+columns. Ranks are its pivot counts. A cocycle's coordinates are its
+entries at the free (pivot-less) columns of d_out; the coboundaries, the
+columns of d_in, are brought to echelon form in those coordinates, and a
+class's coordinates are a cocycle's coordinates reduced modulo that form,
+read at the free columns where it has no pivot. The kernel vector with a 1
+at one such column and 0 at every other free column represents the matching
+standard basis class. The two connecting-map lifts are multi-column solves:
+the echelon form of the lifting map with the right-hand sides riding along
+as extra columns.
 
 Each induced map (f_n into the middle, g_n onto the quotient, and the
 connecting map) is the out-map at one position and the in-map at the next;
 it is ranked once per run and its rank read at both.
 
-Over Z one run can serve every field. The route first runs once over the
-integers themselves (``_Integers``): no scalar is reduced and only +-1 is
-inverted, so a run that completes pivoted on +-1 alone and made only
-unimodular row operations on integer rows. Its pivot rows keep a 1 at their
-pivot and a 0 at every other pivot modulo any p, so, read mod p, it is a
-complete run over GF(p) with the same pivot columns, ranks and dimensions;
-and it is the run over Q as it stands, since Q takes the same +-1 pivots.
-Every composite, cocycle and lift check that is zero as an integer is zero
-mod p, and a position records only ranks and dimensions. So when the run
-completes and every position holds, each field takes those positions under
-its own name. On the first non-unit pivot, any ArithmeticError or a failing
-position the run is dropped and every field runs on its own, as it does
-over Z/m and when only one field applies, where a shared run saves nothing.
+Over Z or Z/m one run can serve every field. When more than one applies,
+the route first runs once over the base ring R, whose units alone are
+pivots (+-1 over Z, residues prime to m over Z/m). A run that completes
+left no row and made only row operations invertible over R, and its pivot
+rows are 1 at their pivot and 0 at every other pivot, so over Q and mod
+each p it is a complete run with the same pivots, ranks and dimensions.
+Every composite, cocycle and lift check that is zero over R is zero over
+each field, and a position records only ranks and dimensions, so each field
+takes the run's positions under its own name when every position holds.
+When a row is left with no unit to pivot on, on any ArithmeticError or on
+a failing position the run is dropped and every field runs on its own, as
+it does when only one field applies, where a shared run saves nothing.
 
 The route pays only for the spaces the core carries; on a one-point core
 every cochain space above degree 0 is zero. ``_echelon`` never sees an empty
@@ -76,11 +75,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .complexes import RoosComplex, build_complex
-from .linalg import GroupInvariants, Ring, columns, product, sparse
+from .linalg import GroupInvariants, Ring, columns, eliminate, product, sparse
 from .orders import QuasiOrder
 from .systems import SystemSES, core_elements, require_exact
 
@@ -118,71 +116,44 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class Field:
-    """The rationals (p = 0) or a prime field, acting on plain scalars.
+    """The rationals (modulus 0) or a prime field GF(p), acting on plain
+    scalars, with the ``modulus``, ``norm`` and ``unit`` of ``linalg.Ring``.
 
     Rational scalars are ints or ``fractions.Fraction``; prime-field scalars
     are ints normalized to [0, p).
     """
 
-    __slots__ = ("p",)
+    modulus: int = 0
 
-    def __init__(self, p: int = 0):
-        if p and not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Field is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("field", self.p))
+    def __post_init__(self) -> None:
+        if self.modulus and not _is_prime(self.modulus):
+            raise ValueError(f"{self.modulus} is not prime")
 
     def render(self) -> str:
-        return "Q" if self.p == 0 else f"GF({self.p})"
+        return "Q" if self.modulus == 0 else f"GF({self.modulus})"
 
-    def norm(self, x):
-        """The field element an integer (or a field scalar) stands for."""
-        return x % self.p if self.p else x
+    norm = Ring.norm
 
-    def inv(self, x):
+    def unit(self, x):
         """Inverse of a nonzero scalar; a rational +-1 stays an int."""
-        if self.p:
-            return pow(x, -1, self.p)
-        return x if x == 1 or x == -1 else 1 / Fraction(x)
-
-
-class _Integers:
-    """The integers in the place of a field, for the one shared run of the
-    field route over Z: scalars are never reduced, and only +-1 is inverted,
-    so a run that completes made only unimodular row operations."""
-
-    __slots__ = ()
-
-    def norm(self, x):
-        return x
-
-    def inv(self, x):
         if x == 1 or x == -1:
             return x
-        raise ArithmeticError(f"pivot {x} is not a unit of the integers")
-
-
-_INTEGERS = _Integers()
+        return pow(x, -1, self.modulus) if self.modulus else 1 / Fraction(x)
 
 
 def _axpy(field: Field, target: dict, c, source: dict) -> None:
     """target += c * source in place, touching only source's entries."""
-    norm = field.norm
-    for k, y in source.items():
-        z = norm(target.get(k, 0) + c * y)
+    k = field.modulus
+    for j, y in source.items():
+        z = target.get(j, 0) + c * y
+        if k:
+            z %= k
         if z:
-            target[k] = z
+            target[j] = z
         else:
-            target.pop(k, None)
+            target.pop(j, None)
 
 
 def _combine(field: Field, columns: list, coeffs: dict) -> dict:
@@ -193,48 +164,13 @@ def _combine(field: Field, columns: list, coeffs: dict) -> dict:
     return out
 
 
-def _pivot(rows: list, width) -> tuple[int, int] | None:
-    """(row, column) of an entry +-1 in a column below ``width``, else of the
-    first entry found there, else None."""
-    first = None
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            if j < width:
-                if x == 1 or x == -1:
-                    return i, j
-                if first is None:
-                    first = i, j
-    return first
-
-
-def _echelon(field: Field, rows, width) -> tuple[dict, list]:
-    """Reduced row echelon form of sparse rows ({column: scalar}) over the field.
-
-    The rows are read, normalized into the field and copied, never changed.
-    Pivots are taken in columns below ``width``; columns from ``width`` on
-    ride along as right-hand sides. A pivot of +-1 is preferred, so that
-    integer rows stay integral over Q. Returns the pivot rows, as
-    {pivot column: row}, each scaled to 1 at its pivot and zero at every
-    other pivot column, and the nonzero rows left with no entry below
-    ``width``.
-    """
-    norm = field.norm
-    rows = [{j: y for j, x in row.items() if (y := norm(x))} for row in rows]
-    pivots = {}
-    while (at := _pivot(rows, width)) is not None:
-        i, j = at
-        prow = rows[i]
-        rows[i] = rows[-1]
-        rows.pop()
-        x = prow[j]
-        if x != 1:
-            s = field.inv(x)
-            prow = {k: norm(s * y) for k, y in prow.items()}
-        for row in chain(rows, pivots.values()):
-            if j in row:
-                _axpy(field, row, -row[j], prow)
-        pivots[j] = prow
-    return pivots, [row for row in rows if row]
+def _echelon(field, rows, width) -> tuple[dict, list]:
+    """``linalg.eliminate``; an ArithmeticError when a row is left with an
+    entry below ``width``, which only the base ring of a shared run leaves."""
+    pivots, rest = eliminate(rows, field, width)
+    if rest and any(j < width for row in rest for j in row):
+        raise ArithmeticError(f"no unit pivot over {field.render()}")
+    return pivots, rest
 
 
 def _pivots(field: Field, rows: list, width) -> dict:
@@ -524,17 +460,17 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
             )
         return positions
 
-    # One run over the integers serves every field when it completes on +-1
+    # One run over the base ring serves every field when it completes on unit
     # pivots and every position holds; else each field runs on its own.
     shared = None
-    if ring.is_integers and len(applied) > 1:
+    if len(applied) > 1:
         try:
-            integral = run(_INTEGERS, None)
+            base = run(ring, None)
         except ArithmeticError:
             pass
         else:
-            if all(p.ok for p in integral):
-                shared = integral
+            if all(p.ok for p in base):
+                shared = base
     positions = []
     for name, field in applied.items():
         if shared is None:

@@ -7,8 +7,10 @@ sequences) reduces to Smith diagonals computed here:
   a matrix and nothing else: no transform is tracked. The pivot rule is
   deterministic: smallest nonzero absolute value, ties broken by lowest row
   index, then lowest column index.
-* ``invariant_factors`` is the production route to that diagonal: sparse
-  elimination of unit pivots, then ``smith_normal_form`` of the small
+* ``eliminate`` is the one sparse elimination: Markowitz unit pivots over
+  Z, Z/m or a field, to reduced row echelon form plus the rows left.
+* ``invariant_factors`` is the production route to the Smith diagonal: its
+  unit pivots over Z, counted, then ``smith_normal_form`` of the small
   residual block (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
 * ``subquotient`` presents ker(d_out)/im(d_in) of a free module as canonical
   invariants (free rank plus a divisor chain), read off the rank of d_out and
@@ -27,6 +29,7 @@ does not.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 
@@ -66,8 +69,16 @@ class Ring:
     def is_integers(self) -> bool:
         return self.modulus == 0
 
-    def reduce(self, x: int) -> int:
-        return x if self.modulus == 0 else x % self.modulus
+    def norm(self, x: int) -> int:
+        return x % self.modulus if self.modulus else x
+
+    def unit(self, x: int) -> int | None:
+        """The inverse of x, or None: over Z only +-1 is a unit, over Z/m
+        every x prime to m."""
+        if x == 1 or x == -1:
+            return x
+        k = self.modulus
+        return pow(x, -1, k) if k and math.gcd(x, k) == 1 else None
 
     def is_zero(self, rows) -> bool:
         """Whether the sparse rows (``sparse``) are zero over the ring."""
@@ -91,6 +102,9 @@ class Ring:
         if a.shape != b.shape:
             return False
         return a.rows == b.rows if self.modulus == 0 else self.equal(sparse(a), sparse(b))
+
+
+_Z = Ring.integers()
 
 
 def _integral(x) -> int:
@@ -411,69 +425,115 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
     return [a[i][i] for i in range(t)]
 
 
-def invariant_factors(rows: list) -> list[int]:
-    """The nonzero Smith diagonal d_1 | d_2 | ... of a sparse matrix, with no
-    transforms. Its rows are copied, with a column-to-rows index.
-
-    While a +-1 entry is left, one is taken as pivot from a column
-    with the fewest entries (a Markowitz-style choice that keeps fill-in
-    low), and its row and column are eliminated: over Z the Schur complement
-    on a unit pivot is exact, and the pivot contributes the factor 1. The
-    residual block, which has no unit entry, goes to a diagonal-only
-    ``smith_normal_form``. The Smith diagonal is canonical, so the pivot
-    order never shows in the result. A matrix with no entry has no factor
-    and costs no set-up.
+def _unit_pivots(rows: dict, ring, width):
+    """The one sparse elimination, in place on ``rows`` ({index: {column:
+    nonzero entry reduced over the ring}}). Markowitz order: a column below
+    ``width`` with the fewest entries (from a heap), an entry ``ring.unit``
+    inverts, +-1 first, then the shortest row, then the lowest index. Each
+    pivot row leaves ``rows``, cleared from the rows left, and is yielded as
+    (column, inverse s of the pivot entry, row without that entry), 0 at
+    every earlier pivot column. The rows left have no unit entry below
+    ``width``.
     """
-    rows = {i: dict(row) for i, row in enumerate(rows) if row}
-    if not rows:
-        return []
+    k = ring.modulus
+    unit = ring.unit
     cols = {}
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
     # Candidate columns keyed by their entry count; an item is stale once the
     # column's count has changed, and every change pushes a fresh one.
-    heap = [(len(members), j) for j, members in cols.items()]
+    heap = [(len(members), j) for j, members in cols.items() if j < width]
     heapq.heapify(heap)
-    units = 0
     while heap:
         count, q = heapq.heappop(heap)
         members = cols.get(q)
         if members is None or len(members) != count:
             continue
-        unit_rows = [i for i in members if rows[i][q] in (1, -1)]
-        if not unit_rows:
+        ones = [i for i in members if rows[i][q] in (1, -1)]
+        units = ones or [i for i in members if unit(rows[i][q]) is not None]
+        if not units:
             continue
-        p = min(unit_rows, key=lambda i: (len(rows[i]), i))
+        p = units[0] if len(units) == 1 else min(units, key=lambda i: (len(rows[i]), i))
+        s = unit(rows[p][q])
         del cols[q]
         members.discard(p)
         pivot_row = rows.pop(p)
-        u = pivot_row.pop(q)
-        for j in pivot_row:
-            cols[j].discard(p)
+        del pivot_row[q]
         for i in members:
             target = rows[i]
-            f = target.pop(q) * u
+            f = target.pop(q) * s
             for j, x in pivot_row.items():
                 y = target.get(j, 0) - f * x
+                if k:
+                    y %= k
                 if y:
                     if j not in target:
                         cols[j].add(i)
                     target[j] = y
-                else:
+                elif j in target:
                     del target[j]
                     cols[j].discard(i)
             if not target:
                 del rows[i]
-        units += 1
         for j in pivot_row:
-            if cols[j]:
-                heapq.heappush(heap, (len(cols[j]), j))
-            else:
+            column = cols[j]
+            column.discard(p)
+            if not column:
                 del cols[j]
-    factors = [1] * units
+            elif j < width:
+                heapq.heappush(heap, (len(column), j))
+        yield q, s, pivot_row
+
+
+def eliminate(rows: list, ring, width) -> tuple[dict, list]:
+    """Reduced row echelon form of copied sparse rows by ``_unit_pivots``,
+    the columns from ``width`` on riding along; ``ring`` gives a ``modulus``
+    and ``unit(x)``, the inverse of x or None. Returns {pivot column: row},
+    each 1 at its pivot and 0 at every other pivot column, and the nonzero
+    rows left, none with an entry below ``width`` over a field."""
+    k = ring.modulus
+    if k:
+        work = ({j: y for j, x in row.items() if (y := x % k)} for row in rows)
+        work = {i: row for i, row in enumerate(work) if row}
+    else:
+        work = {i: dict(row) for i, row in enumerate(rows) if row}
+    pivots = {}
+    for q, s, row in _unit_pivots(work, ring, width):
+        if s != 1:
+            row = {j: s * x % k if k else s * x for j, x in row.items()}
+        row[q] = 1
+        pivots[q] = row
+    # Back substitution, last pivot first: a pivot row is 0 at every earlier
+    # pivot column, and the later rows it meets are already reduced.
+    for q in reversed(pivots):
+        row = pivots[q]
+        for j in [j for j in row if j != q and j in pivots]:
+            f = row[j]
+            for c, x in pivots[j].items():
+                y = row.get(c, 0) - f * x
+                row[c] = y % k if k else y
+                if not row[c]:
+                    del row[c]
+    return pivots, list(work.values())
+
+
+def invariant_factors(rows: list) -> list[int]:
+    """The nonzero Smith diagonal d_1 | d_2 | ... of a sparse matrix, with no
+    transforms: each pivot of ``_unit_pivots`` over Z is a factor 1 (the Schur
+    complement on a unit is exact), its row counted and dropped, and the
+    residual block, with no unit entry, goes to a diagonal-only
+    ``smith_normal_form``. The Smith diagonal is canonical, so the pivot
+    order never shows. A matrix with no entry costs no set-up."""
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
+    if not rows:
+        return []
+    factors = [1] * sum(1 for _ in _unit_pivots(rows, _Z, math.inf))
     if rows:
-        col_ids = sorted(cols)
+        col_ids = sorted({j for row in rows.values() for j in row})
         residual = IntMatrix._trusted(
             [[r.get(j, 0) for j in col_ids] for r in rows.values()], len(col_ids)
         )

@@ -31,7 +31,7 @@ def differential(cx, n: int) -> IntMatrix:
 
 def is_zero_over(ring: Ring, m: IntMatrix) -> bool:
     """Whether every entry of the dense matrix m is zero over the ring."""
-    return all(ring.reduce(x) == 0 for row in m.rows for x in row)
+    return all(ring.norm(x) == 0 for row in m.rows for x in row)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import rooslab.les
 from rooslab.complexes import build_complex, derived_limit
 from rooslab.gen import random_ses
 from rooslab.les import (
-    _INTEGERS,
     Field,
     _axpy,
     _check_position,
@@ -164,15 +163,15 @@ def test_field_scalars():
         Field(4)
     gf5 = Field(5)
     assert gf5.norm(-7) == 3
-    assert gf5.norm(3) * gf5.inv(2) % 5 == 4  # 3 * inverse(2) = 3 * 3
+    assert gf5.norm(3) * gf5.unit(2) % 5 == 4  # 3 * inverse(2) = 3 * 3
     q = Field(0)
-    assert q.inv(2) * 2 == 1
-    assert type(q.inv(-1)) is int  # a +-1 pivot keeps rational rows integral
+    assert q.unit(2) * 2 == 1
+    assert type(q.unit(-1)) is int  # a +-1 pivot keeps rational rows integral
     # Miller-Rabin agrees with trial division, and rejects strong
     # pseudoprimes to the first four and the first nine prime bases.
     for n in range(2, 3000):
         if all(n % d for d in range(2, int(n**0.5) + 1)):
-            assert Field(n).p == n
+            assert Field(n).modulus == n
         else:
             with pytest.raises(ValueError, match="not prime"):
                 Field(n)
@@ -443,13 +442,53 @@ def test_echelon_agrees_with_integer_oracles():
     assert unsolvable > 20
 
 
+def _reference_pivot(rows, width):
+    """(row, column) of an entry +-1 in a column below ``width``, else of the
+    first entry found there, else None."""
+    first = None
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j < width:
+                if x == 1 or x == -1:
+                    return i, j
+                if first is None:
+                    first = i, j
+    return first
+
+
+def _reference_echelon(field, rows, width):
+    """Reduced row echelon form of sparse rows over a field, by the route
+    les took before it shared linalg.eliminate: every remaining row is
+    rescanned for each pivot, the first +-1 found is preferred, and each
+    pivot column is cleared from the rows left and the pivot rows taken.
+    Returns ({pivot column: row}, nonzero rows left), the rows left having
+    no entry below ``width``."""
+    norm = field.norm
+    rows = [{j: y for j, x in row.items() if (y := norm(x))} for row in rows]
+    pivots = {}
+    while (at := _reference_pivot(rows, width)) is not None:
+        i, j = at
+        prow = rows[i]
+        rows[i] = rows[-1]
+        rows.pop()
+        x = prow[j]
+        if x != 1:
+            s = field.unit(x)
+            prow = {k: norm(s * y) for k, y in prow.items()}
+        for row in itertools.chain(rows, pivots.values()):
+            if j in row:
+                _axpy(field, row, -row[j], prow)
+        pivots[j] = prow
+    return pivots, [row for row in rows if row]
+
+
 class _ReferenceCohomology:
     """H^n over a field by two eliminations, whatever the dimension."""
 
     def __init__(self, field, d_out_rows, d_in_cols, ambient):
-        out = _echelon(field, d_out_rows, ambient)[0]
+        out = _reference_echelon(field, d_out_rows, ambient)[0]
         coboundaries = [{j: x for j, x in col.items() if j not in out} for col in d_in_cols]
-        relations = _echelon(field, coboundaries, ambient)[0]
+        relations = _reference_echelon(field, coboundaries, ambient)[0]
         classes = [j for j in range(ambient) if j not in out and j not in relations]
         self.field = field
         self.basis = [
@@ -473,8 +512,8 @@ def _reference_position(field, degree, at, dim, in_map, out_map):
     problems = []
     if any(_combine(field, out_map, col) for col in in_map):
         problems.append("composite nonzero")
-    ri = _rank(field, in_map)
-    ro = _rank(field, out_map)
+    ri = _reference_rank(field, in_map)
+    ro = _reference_rank(field, out_map)
     if ri + ro != dim:
         problems.append("rank gap")
     detail = f"rank(in)={ri} rank(out)={ro} dim={dim}"
@@ -489,8 +528,8 @@ def _levelwise_field_reason(e, field):
     that validate_ses passes splits, so this never finds a reason on the
     fields the ring allows, and the reference loop's skips equal its own."""
     for lam in e.mid.index.elements:
-        ri = _rank(field, sparse(e.inject[lam]))
-        rp = _rank(field, sparse(e.project[lam]))
+        ri = _reference_rank(field, sparse(e.inject[lam]))
+        rp = _reference_rank(field, sparse(e.project[lam]))
         if ri != e.sub.rank(lam):
             return f"inclusion at {lam!r} loses injectivity over {field.render()}"
         if rp != e.quot.rank(lam):
@@ -559,10 +598,10 @@ def _reference_field_loop(e, n_max, fields=None):
         for n in range(n_max + 1):
             f = [h["mid", n].coords(_combine(field, inj_cols[n], b)) for b in h["sub", n].basis]
             g = [h["quot", n].coords(_combine(field, prj_cols[n], b)) for b in h["mid", n].basis]
-            lifts = _solve(
+            lifts = _reference_solve(
                 field, prj_rows[n], cx_mid.dimension(n), h["quot", n].basis, "projection"
             )
-            images = _solve(
+            images = _reference_solve(
                 field,
                 inj_rows[n + 1],
                 cx_sub.dimension(n + 1),
@@ -620,9 +659,9 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
     # reads the rank at both. Every list handed to _rank is kept, so
     # identities stay unique. Degrees above the core's height are zero by
     # shape and ranked not at all: a run ranks three maps in each degree up
-    # to min(n_max, height). Over Z with more than one field, one run over
-    # the integers serves every field; a dropped integer run ranks at most
-    # that many maps before it stops, and then each field makes a run.
+    # to min(n_max, height). Over Z or Z/m with more than one field, one run
+    # over the base ring serves every field; a dropped run ranks at most that
+    # many maps before it stops, and then each field makes a run.
     ranked = []
 
     def recording_rank(field, vectors):
@@ -630,22 +669,25 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
         return _rank(field, vectors)
 
     monkeypatch.setattr(rooslab.les, "_rank", recording_rank)
-    tall = shared = dropped = 0
+    tall = shared = dropped = shared_modular = dropped_modular = 0
     for e, fields in itertools.islice(_field_loop_cases(), 240):
         ranked.clear()
         rep = les_of_ses(e, 2, fields=fields)
         height = _core_height(e)
         per_run = 3 * (min(2, height) + 1)
-        integral = sum(f is _INTEGERS for f, _ in ranked)
+        integral = sum(isinstance(f, Ring) for f, _ in ranked)
         own = len(ranked) - integral
-        if e.mid.ring.is_integers and len(rep.fields) > 1:
+        assert all(f is e.mid.ring for f, _ in ranked if isinstance(f, Ring))
+        if len(rep.fields) > 1:
             if own:
                 assert integral <= per_run
                 assert own == per_run * len(rep.fields)
                 dropped += 1
+                dropped_modular += not e.mid.ring.is_integers
             else:
                 assert integral == per_run
                 shared += 1
+                shared_modular += not e.mid.ring.is_integers
         else:
             assert integral == 0 and own == per_run * len(rep.fields)
         for field in {f for f, _ in ranked}:
@@ -653,10 +695,11 @@ def test_each_induced_map_is_ranked_once(monkeypatch):
             assert len({id(v) for v in lists}) == len(lists), (field, fields)
         tall += height == 1 and bool(rep.fields)
     assert tall >= 30 and shared >= 30 and dropped >= 4
+    assert shared_modular >= 15 and dropped_modular >= 3
 
 
 # The route of les_of_ses before zero-dimensional spaces were made free, kept
-# as a reference: every rank and every lift goes through _echelon, each
+# as a reference: every rank and every lift goes through _reference_echelon, each
 # position is a dataclass whose field name is rendered at each position, the
 # levelwise matrices are coerced through IntMatrix, and both cochain-map
 # checks multiply in every degree. Its cohomology is _ReferenceCohomology
@@ -686,7 +729,7 @@ def _reference_sparse_cols(m):
 
 
 def _reference_rank(field, vectors):
-    return len(_echelon(field, vectors, math.inf)[0])
+    return len(_reference_echelon(field, vectors, math.inf)[0])
 
 
 def _reference_solve(field, rows, width, rhs, what):
@@ -696,7 +739,7 @@ def _reference_solve(field, rows, width, rhs, what):
     for k, b in enumerate(rhs):
         for i, x in b.items():
             augmented[i][width + k] = x
-    pivots, rest = _echelon(field, augmented, width)
+    pivots, rest = _reference_echelon(field, augmented, width)
     if rest:
         raise ArithmeticError(f"connecting lift through the {what} failed")
     solutions = [{} for _ in rhs]
@@ -926,13 +969,12 @@ def test_zero_spaces_cost_no_elimination(monkeypatch):
     assert calls and all(n > 0 for _, n in calls)
     # Its pivots are all +-1, so the one run over the integers serves Q,
     # GF(2), GF(3) and GF(5), none of which eliminates anything.
-    assert all(f is _INTEGERS for f, _ in calls) and len(calls) <= 4
+    assert all(f == Ring.integers() for f, _ in calls) and len(calls) <= 4
 
 
-def _one_point_ses(inject, project):
-    """A sequence Z -> Z^2 -> Z on one point, with the given column and row."""
+def _one_point_ses(inject, project, ring=Ring.integers()):
+    """A sequence R -> R^2 -> R on one point, with the given column and row."""
     q = QuasiOrder(["a"], [])
-    ring = Ring.integers()
     return SystemSES(
         sub=_constant(q, ring, 1),
         mid=_constant(q, ring, 2),
@@ -944,10 +986,12 @@ def _one_point_ses(inject, project):
 
 def test_one_integer_run_serves_every_field(monkeypatch):
     # Over Z, one run of the field route over the integers serves Q and
-    # every GF(p) when it pivots on +-1 only and every position holds. On
-    # its first non-unit pivot, any ArithmeticError or a failing position it
-    # is dropped, and each field makes its own run. Either way the report is
-    # the reference route's, whose every field runs on its own.
+    # every GF(p) when it pivots on +-1 only and every position holds; over
+    # Z/m one run over Z/m, pivoting on units, serves every GF(p) with p
+    # dividing m. When a row is left with no unit to pivot on, on any
+    # ArithmeticError or on a failing position the run is dropped, and each
+    # field makes its own run. Either way the report is the reference
+    # route's, whose every field runs on its own.
     seen = []
 
     def recording_echelon(field, rows, width):
@@ -968,48 +1012,67 @@ def test_one_integer_run_serves_every_field(monkeypatch):
             (p.field, p.degree, p.at, p.ok, p.detail) for p in want_positions
         ]
         assert rep.ok
-        # The integer run comes first, then any run of a field.
-        k = next((i for i, f in enumerate(seen) if f is not _INTEGERS), len(seen))
-        assert all(f is not _INTEGERS for f in seen[k:])
+        # The run over the base ring comes first, then any run of a field.
+        k = next((i for i, f in enumerate(seen) if not isinstance(f, Ring)), len(seen))
+        assert all(f is e.mid.ring for f in seen[:k])
+        assert all(isinstance(f, Field) for f in seen[k:])
         return rep, seen[:k], seen[k:]
 
     field_lists = (None, (5, 2), (2, 3, 0))
-    # Every pivot is +-1: _echelon sees the integer ring and nothing else.
+    six = Ring.modular(6)
+    # Every pivot is a unit: _echelon sees the base ring and nothing else.
     for e in (_split_constant_ses(), _crown_ses(), _one_point_ses((1, 0), (0, 1))):
         for fields in field_lists:
             _, integral, own = check(e, 2, fields)
             assert integral and not own
+    # Over Z/6 the lists naming GF(2) and GF(3) share the run; (5, 2) names
+    # one field the ring allows, which runs on its own.
+    shared_over_six = (
+        _split_constant_ses(ring=six), _crown_ses(False, six), _one_point_ses((1, 0), (0, 5), six)
+    )
+    for e in shared_over_six:
+        for fields in field_lists:
+            rep, integral, own = check(e, 2, fields)
+            if len(rep.fields) > 1:
+                assert integral and not own
+            else:
+                assert not integral and own
     # The lift through the projection (3, -2) is the first elimination, and
-    # no entry of it is a unit: the integer run is dropped there, and then
-    # every field runs on its own.
-    e = _one_point_ses((2, 3), (3, -2))
-    for fields in field_lists:
-        rep, integral, own = check(e, 1, fields)
-        assert len(integral) == 1
-        assert [f.render() for f in dict.fromkeys(own)] == list(rep.fields)
+    # no entry of it is a unit of Z or of Z/6: the run is dropped there, and
+    # then every field runs on its own.
+    for ring, lists in ((Ring.integers(), field_lists), (six, (None, (2, 3, 0)))):
+        e = _one_point_ses((2, 3), (3, -2), ring)
+        for fields in lists:
+            rep, integral, own = check(e, 1, fields)
+            assert len(integral) == 1
+            assert [f.render() for f in dict.fromkeys(own)] == list(rep.fields)
 
-    # A position that fails over the integers drops the run too.
-    def failing_over_z(field, name, *args):
+    # A position that fails over the base ring drops the run too.
+    def failing_over_ring(field, name, *args):
         position = _check_position(field, name, *args)
-        return position._replace(ok=False) if field is _INTEGERS else position
+        return position._replace(ok=False) if isinstance(field, Ring) else position
 
-    _, integral, own = check(_split_constant_ses(), 1, check_position=failing_over_z)
-    assert integral and {f.p for f in own} == {0, 2, 3, 5}
+    _, integral, own = check(_split_constant_ses(), 1, check_position=failing_over_ring)
+    assert integral and {f.modulus for f in own} == {0, 2, 3, 5}
+    _, integral, own = check(_split_constant_ses(ring=six), 1, check_position=failing_over_ring)
+    assert integral and {f.modulus for f in own} == {2, 3}
     # Coupled sequences with torsion, where some field reads other positions
-    # than another: no one run can have served them all.
+    # than another: no one run can have served them all. Over Z/6 these are
+    # the sequences whose GF(2) and GF(3) positions differ.
     rng = random.Random(1818)
-    disagree = 0
-    for _ in range(40):
-        e = _coupled_two_level_ses(rng)
+    disagree = {Ring.integers(): 0, six: 0}
+    for i in range(80):
+        ring = six if i % 2 else Ring.integers()
+        e = _coupled_two_level_ses(rng, ring)
         for fields in field_lists:
             rep, integral, own = check(e, 1, fields)
             details = {}
             for p in rep.positions:
                 details.setdefault(p.field, []).append(p.detail)
             if len({tuple(d) for d in details.values()}) > 1:
-                disagree += 1
+                disagree[ring] += 1
                 assert own
-    assert disagree >= 50
+    assert disagree[Ring.integers()] >= 50 and disagree[six] >= 20
 
 
 def test_position_checks_match_the_reference_on_broken_maps():

@@ -17,11 +17,14 @@ from rooslab.linalg import (
     Ring,
     ShapeMismatchError,
     cohomology_at,
+    eliminate,
     invariant_factors,
     sparse,
 )
+from rooslab.les import Field
 
-from oracle_linalg import differential, is_zero_over, kernel_basis, smith_normal_form, solve
+from oracle_linalg import dense, differential, is_zero_over, kernel_basis, smith_normal_form, solve
+from test_les import _reference_echelon
 
 
 def _transpose(m):
@@ -518,3 +521,83 @@ def test_cohomology_matches_transform_route():
             assert cohomology_at(d_in, d_out, ring) == _cohomology_by_transforms(d_in, d_out, ring)
             cases += 1
     assert cases > 400
+
+
+def _random_rows(rng, nrows, ncols, rational=False):
+    """Sparse rows of mostly +-1 entries, some larger, over Q some fractions."""
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            roll = rng.random()
+            if roll < 0.2:
+                row[j] = rng.choice((1, -1))
+            elif roll < 0.4:
+                row[j] = rng.choice((2, -2, 3, 4, -5, 6))
+            if rational and j in row and rng.random() < 0.3:
+                row[j] = Fraction(row[j], rng.choice((2, 3)))
+        rows.append(row)
+    return rows
+
+
+def _lattice(rows, width, modulus):
+    """The Smith diagonal of the rows' span over Z, with m e_j adjoined over Z/m."""
+    rows = list(rows) + [{j: modulus} for j in range(width) if modulus]
+    return smith_normal_form(dense(rows, width)).invariant_factors
+
+
+def test_eliminate_takes_unit_pivots_to_reduced_echelon_form():
+    # Random sparse rows over Z, Z/4, Z/6, Q, GF(2), GF(3) and GF(5), some
+    # with right-hand-side columns from the width on. Every pivot row is 1 at
+    # its pivot and 0 at every other pivot column, and no row left has a
+    # unit entry below the width. Over a field the rank and the row space
+    # are those of the reference echelon form; over Z and Z/m the row
+    # operations keep the span, and a run that leaves no entry below the
+    # width has the rank of GF(p) for every p dividing m (every p over Z).
+    rng = random.Random(22022)
+    rings = [Ring.integers(), Ring.modular(4), Ring.modular(6)]
+    rings += [Field(0), Field(2), Field(3), Field(5)]
+    complete, incomplete = {}, {}
+    riding = 0
+    for i in range(1400):
+        ring = rings[i % len(rings)]
+        k = ring.modulus
+        width, extra = rng.randint(1, 7), rng.choice((0, 0, 1, 3))
+        rows = _random_rows(rng, rng.randint(0, 7), width + extra, ring == Field(0))
+        copy = [dict(row) for row in rows]
+        pivots, rest = eliminate(rows, ring, width)
+        assert rows == copy
+        for q, row in pivots.items():
+            assert q < width and row[q] == 1
+            assert all(j == q or j not in row for j in pivots)
+            riding += any(j >= width for j in row)
+        for row in [*pivots.values(), *rest]:
+            assert row and all(x and (not k or 0 < x < k) for x in row.values())
+        assert not any(ring.unit(x) for row in rest for j, x in row.items() if j < width)
+        left = any(j < width for row in rest for j in row)
+        if isinstance(ring, Field):
+            assert not left
+            want, want_rest = _reference_echelon(ring, rows, width)
+            assert len(pivots) == len(want)
+            got, reference = [*pivots.values(), *rest], [*want.values(), *want_rest]
+            span = len(_reference_echelon(ring, got + reference, width + extra)[0])
+            assert span == len(_reference_echelon(ring, got, width + extra)[0])
+            assert span == len(_reference_echelon(ring, rows, width + extra)[0])
+            continue
+        total = width + extra
+        assert _lattice(list(pivots.values()) + rest, total, k) == _lattice(rows, total, k)
+        primes = [p for p in (2, 3, 5, 7) if k % p == 0] if k else [0, 2, 3, 5, 7]
+        if left:
+            incomplete[k] = incomplete.get(k, 0) + 1
+        else:
+            complete[k] = complete.get(k, 0) + 1
+            for p in primes:
+                assert len(pivots) == len(_reference_echelon(Field(p), rows, width)[0])
+        if not k:
+            # Over Z the rows left are the Schur complement: the rational
+            # rank is the pivot count plus theirs.
+            rank = len(_reference_echelon(Field(0), rows, width)[0])
+            below = [{j: x for j, x in row.items() if j < width} for row in rest]
+            assert rank == len(pivots) + len(_reference_echelon(Field(0), below, width)[0])
+    assert all(complete.get(k, 0) >= 80 and incomplete.get(k, 0) >= 30 for k in (0, 4, 6))
+    assert riding >= 200
