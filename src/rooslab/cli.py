@@ -299,10 +299,10 @@ def _cmd_les(args) -> int:
     report.results["fields"] = list(lrep.fields)
     for name, reason in lrep.skipped.items():
         report.results[f"skipped {name}"] = reason
-    for p in lrep.positions:
-        report.verdict(
-            f"{p.field}: exact at {p.at} in degree {p.degree}", p.ok, p.detail
-        )
+    report.verdicts += [
+        (f"{p.field}: exact at {p.at} in degree {p.degree}", p.ok, p.detail)
+        for p in lrep.positions
+    ]
     report.stats["positions"] = len(lrep.positions)
     report.stats["seconds"] = round(time.perf_counter() - start, 3)
     return _emit(report, args)

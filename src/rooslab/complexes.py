@@ -182,10 +182,14 @@ class RoosComplex:
         )
 
 
-def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosComplex:
+def build_complex(
+    s: InverseSystem, n_max: int, strict: bool = False, *, blocks=None
+) -> RoosComplex:
     """The complex of s over its weakly (or, with ``strict``, strictly)
     increasing tuples, enumerated once for degrees 0..n_max: face 0 of t
-    carries bond(t0, t1), face i deletes entry i.
+    carries bond(t0, t1), face i deletes entry i. A caller building several
+    complexes on one order passes its ``chains_upto`` list, of n_max + 1
+    degrees or more, as ``blocks``, and each complex takes the prefix.
 
     Raises :class:`InvalidSystemError` on a non-functorial system; for one
     checked already, or restricted from one that passed, that is a lookup.
@@ -193,7 +197,7 @@ def build_complex(s: InverseSystem, n_max: int, strict: bool = False) -> RoosCom
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     require_functorial(s)
-    blocks = chains_upto(s.index, n_max, strict=strict)
+    blocks = chains_upto(s.index, n_max, strict) if blocks is None else blocks[: n_max + 1]
     block_ranks = [[s.rank(t[0]) for t in blocks[n]] for n in range(n_max + 1)]
     faces = lambda t: (s.bond(t[0], t[1]), [face(t, k) for k in range(len(t))])
     return RoosComplex(s.ring, blocks, block_ranks, faces, strict=strict, system=s)

@@ -9,7 +9,9 @@ carry notes) and check only what a document adds: ring tags, JSON types
 (``true`` is no integer), key syntax, and matrices as lists of equal-length
 integer lists. Every other check belongs to the library constructor a parser
 calls (``QuasiOrder``, ``InverseSystem``, ``validate_ses``, ...), and a
-:class:`DocumentError` carries its message after the location.
+:class:`DocumentError` carries its message after the location. The middle
+and quotient of a sequence document that declare the sub's "indices" and
+"leq" as the sub does share its one ``QuasiOrder``.
 """
 
 from __future__ import annotations
@@ -116,6 +118,13 @@ def system_to_doc(s: InverseSystem) -> dict:
 
 
 def system_from_doc(doc, where: str = "system") -> InverseSystem:
+    return _system_from_doc(doc, where, None)
+
+
+def _system_from_doc(doc, where: str, index: QuasiOrder | None) -> InverseSystem:
+    """``system_from_doc``, every check in place; with ``index``, the order a
+    document declaring the same "indices" and "leq" built, the system takes
+    that order instead of building an equal one."""
     ring = parse_ring(_need(doc, "ring", where))
     elements = _need(doc, "indices", where, list)
     for e in elements:
@@ -139,7 +148,9 @@ def system_from_doc(doc, where: str = "system") -> InverseSystem:
         mu, lam = parts
         bonds[(lam, mu)] = _matrix_from_doc(rows, objects.get(mu, 0), f"{where}: map {key!r}")
     try:
-        system = InverseSystem(QuasiOrder(elements, pairs), ring, objects, bonds)
+        if index is None:
+            index = QuasiOrder(elements, pairs)
+        system = InverseSystem(index, ring, objects, bonds)
         require_functorial(system)
     except ValueError as err:  # BondError and InvalidSystemError included
         _fail(where, str(err))
@@ -157,9 +168,17 @@ def ses_to_doc(e: SystemSES) -> dict:
 
 
 def ses_from_doc(doc, where: str = "ses") -> SystemSES:
-    sub = system_from_doc(_need(doc, "sub", where), f"{where}.sub")
-    mid = system_from_doc(_need(doc, "middle", where), f"{where}.middle")
-    quot = system_from_doc(_need(doc, "quotient", where), f"{where}.quotient")
+    first = _need(doc, "sub", where)
+    sub = system_from_doc(first, f"{where}.sub")
+
+    def system(key):
+        # A system declaring the sub's order as the sub does shares its
+        # QuasiOrder, which is immutable; any other declaration builds its own.
+        d = _need(doc, key, where)
+        same = isinstance(d, dict) and all(d.get(k) == first[k] for k in ("indices", "leq"))
+        return _system_from_doc(d, f"{where}.{key}", sub.index if same else None)
+
+    mid, quot = system("middle"), system("quotient")
     inject, project = (
         {
             e: _matrix_from_doc(rows, source.ranks.get(e, 0), f"{where}: {key} at {e!r}")

@@ -26,7 +26,8 @@ as extra columns.
 
 Each induced map (f_n into the middle, g_n onto the quotient, and the
 connecting map) is the out-map at one position and the in-map at the next;
-it is ranked once per run and its rank read at both.
+it is ranked once per run and its rank read at both. The levelwise maps are
+put in sparse form once per call.
 
 Over Z or Z/m one run can serve every field. When more than one applies,
 the route first runs once over the base ring R, whose units alone are
@@ -65,7 +66,9 @@ homotopy-final core of the index (``systems.core_elements``: equivalence
 classes collapsed to representatives, then up beat points removed), which
 leaves every derived limit and every map of the long sequence unchanged, a
 reduction the test suite checks against the collapsed index and the
-degenerate-tuple oracle. The three complexes are the normalized
+degenerate-tuple oracle. ``validate_ses`` proves the three indices equal, so
+the index is restricted once, the three systems onto that one order, and its
+strict chains are enumerated once for all three complexes, the normalized
 (strict-tuple) ones on that partial order. The levelwise maps commute with
 every face, so they are cochain maps of the normalized complexes too.
 """
@@ -79,7 +82,7 @@ from typing import NamedTuple
 
 from .complexes import RoosComplex, build_complex
 from .linalg import GroupInvariants, Ring, columns, eliminate, product, sparse
-from .orders import QuasiOrder
+from .orders import QuasiOrder, chains_upto
 from .systems import SystemSES, core_elements, require_exact
 
 # Miller-Rabin with the primes up to 41 as bases decides primality for every
@@ -298,11 +301,10 @@ def _prime_divisors(modulus: int) -> list[int]:
     return out
 
 
-def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, maps: dict) -> list:
+def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, forms: dict) -> list:
     """The levelwise maps in degree n, from C^n of cx_from to C^n of cx_to,
     as one block-diagonal sparse matrix: at the block of each tuple t, the
-    map at its first entry."""
-    forms = {e: sparse(m) for e, m in maps.items()}
+    map at its first entry, whose sparse form ``forms`` holds."""
     rows = []
     for t, col_off in zip(cx_to.blocks[n], cx_from.offsets[n]):
         rows += ({col_off + b: x for b, x in row.items()} for row in forms[t[0]])
@@ -356,23 +358,23 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         raise ValueError("n_max must be >= 0")
     require_exact(e)
     ring = e.mid.ring
-    keep = core_elements(e.mid.index)
-    if len(keep) < len(e.mid.index):
-        e = SystemSES(
-            sub=e.sub.restrict(keep),
-            mid=e.mid.restrict(keep),
-            quot=e.quot.restrict(keep),
-            inject={r: e.inject[r] for r in keep},
-            project={r: e.project[r] for r in keep},
-        )
-    # validate_ses checked all three systems on the whole index; their
-    # restrictions inherit the verdict, so build_complex only looks it up.
+    # validate_ses proved the three orders equal, so the core of one order is
+    # the core of each, and all three systems restrict onto that one order,
+    # keeping their passing verdicts: build_complex only looks them up.
+    index = e.mid.index
+    keep = core_elements(index)
+    sub, mid, quot = e.sub, e.mid, e.quot
+    if len(keep) < len(index):
+        index = index.restrict(keep)
+        sub, mid, quot = (s._onto(index) for s in (sub, mid, quot))
     # The core is a partial order: normalized complexes, with no cochains
-    # above its height. The route runs to top = min(n_max, height) only.
-    top = min(n_max, _height(e.mid.index))
-    cx_sub = build_complex(e.sub, top + 2, strict=True)
-    cx_mid = build_complex(e.mid, top + 1, strict=True)
-    cx_quot = build_complex(e.quot, top + 1, strict=True)
+    # above its height. The route runs to top = min(n_max, height) only, on
+    # one enumeration of its strict chains.
+    top = min(n_max, _height(index))
+    blocks = chains_upto(index, top + 2, strict=True)
+    cx_sub = build_complex(sub, top + 2, strict=True, blocks=blocks)
+    cx_mid = build_complex(mid, top + 1, strict=True, blocks=blocks)
+    cx_quot = build_complex(quot, top + 1, strict=True, blocks=blocks)
     groups = {}
     trivial = GroupInvariants.trivial()
     for n in range(n_max + 2):
@@ -381,8 +383,10 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         groups[("mid", n)] = cx_mid.cohomology(n) if n <= top else trivial
         groups[("quot", n)] = cx_quot.cohomology(n) if n <= top else trivial
 
-    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(top + 2)}
-    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(top + 1)}
+    inj_forms = {r: sparse(e.inject[r]) for r in index.elements}
+    prj_forms = {r: sparse(e.project[r]) for r in index.elements}
+    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, inj_forms) for n in range(top + 2)}
+    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, prj_forms) for n in range(top + 1)}
     # Both sides of a cochain-map square are C^n(from) -> C^{n+1}(to); with
     # either space zero they are the same empty matrix.
     for n in range(top + 1):
@@ -476,7 +480,7 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         if shared is None:
             positions += run(field, name)
         else:
-            positions += (LesPosition(name, *p[1:]) for p in shared)
+            positions += [tuple.__new__(LesPosition, (name,) + p[1:]) for p in shared]
     return LesReport(
         ring=ring,
         n_max=n_max,

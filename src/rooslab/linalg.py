@@ -434,9 +434,24 @@ def _unit_pivots(rows: dict, ring, width):
     (column, inverse s of the pivot entry, row without that entry), 0 at
     every earlier pivot column. The rows left have no unit entry below
     ``width``.
+
+    With one row every column holds one entry, so Markowitz order is column
+    order: that row pivots at its lowest unit column below ``width``, and
+    no column index or heap is built.
     """
     k = ring.modulus
     unit = ring.unit
+    if len(rows) == 1:
+        ((p, row),) = rows.items()
+        for q in sorted(row):
+            if q >= width:
+                break
+            s = unit(row[q])
+            if s is not None:
+                del rows[p], row[q]
+                yield q, s, row
+                break
+        return
     cols = {}
     for i, row in rows.items():
         for j in row:

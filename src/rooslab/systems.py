@@ -183,7 +183,11 @@ class InverseSystem:
         A passing ``validate_system`` verdict is kept too: every bond and
         triple of the restriction is one of this system's, so a functorial
         system restricts to a functorial one."""
-        sub = self.index.restrict(subset)
+        return self._onto(self.index.restrict(subset))
+
+    def _onto(self, sub: QuasiOrder) -> "InverseSystem":
+        """``restrict`` onto ``sub``, an order equal to a restriction of this
+        system's index, which several systems on equal indices can share."""
         bonds = {(e, e): self._bonds[(e, e)] for e in sub.elements}
         for pair in sub.related_pairs():
             bonds[pair] = self._bonds[pair]
@@ -423,7 +427,7 @@ def _check_ses(e: SystemSES) -> SesReport:
         extra = [k for k in table if k not in idx]
         if extra:
             violations.append(f"{name}: matrices at unknown labels {extra}")
-    shaped = set()  # the elements whose two maps enter the products below
+    shaped = {}  # element -> the sparse forms of its two maps, when both are shaped
     for lam in idx.elements:
         maps = []
         for name, table, target, source in tables:
@@ -436,9 +440,8 @@ def _check_ses(e: SystemSES) -> SesReport:
                 maps.append(m)
         if len(maps) < 2:
             continue
-        shaped.add(lam)
         i_m, p_m = maps
-        i_s, p_s = sparse(i_m), sparse(p_m)
+        i_s, p_s = shaped[lam] = sparse(i_m), sparse(p_m)
         if not ring.is_zero(product(p_s, i_s)):
             violations.append(f"project * inject nonzero at {lam!r}")
             continue
@@ -463,15 +466,15 @@ def _check_ses(e: SystemSES) -> SesReport:
             violations.append(f"project not surjective at {lam!r}")
         if not exact:
             violations.append(f"not exact at middle for {lam!r}")
+    # Both sides of a square have the same shape, so their sparse products
+    # are equal over the ring exactly when the dense ones are.
     for lam, mu in idx.related_pairs(include_diagonal=False):
         if lam not in shaped or mu not in shaped:
             continue
-        left = e.inject[lam] @ e.sub.bond(lam, mu)
-        right = e.mid.bond(lam, mu) @ e.inject[mu]
-        if not ring.matrices_equal(left, right):
+        (i_lam, p_lam), (i_mu, p_mu) = shaped[lam], shaped[mu]
+        sub, mid, quot = (sparse(s.bond(lam, mu)) for s in (e.sub, e.mid, e.quot))
+        if not ring.equal(product(i_lam, sub), product(mid, i_mu)):
             violations.append(f"inject does not commute with bond ({lam!r}, {mu!r})")
-        left = e.project[lam] @ e.mid.bond(lam, mu)
-        right = e.quot.bond(lam, mu) @ e.project[mu]
-        if not ring.matrices_equal(left, right):
+        if not ring.equal(product(p_lam, mid), product(quot, p_mu)):
             violations.append(f"project does not commute with bond ({lam!r}, {mu!r})")
     return SesReport(not violations, tuple(violations))

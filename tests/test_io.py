@@ -33,6 +33,7 @@ from rooslab.io import (
     write_system,
 )
 from rooslab.category import FiniteCategory, thin_category
+from rooslab.cli import main
 from rooslab.linalg import GroupInvariants, IntMatrix, Ring
 from rooslab.orders import QuasiOrder
 from rooslab.systems import InverseSystem, SystemSES, require_exact, require_functorial
@@ -269,6 +270,95 @@ def test_ses_doc_errors():
     doc["inclusion"]["w"] = [[1], [0]]
     with pytest.raises(DocumentError, match=r"unknown labels \['w'\]"):
         ses_from_doc(doc)
+
+
+def _between(system, a, b):
+    leq = system["leq"]
+    return [c for c in system["indices"] if c not in (a, b) and [a, c] in leq and [c, b] in leq]
+
+
+def _drop_pair(system, covering):
+    """Drop from a system document its first leq pair with nothing (with
+    ``covering``) or something (without) between its ends, and that pair's
+    map: a valid system on a smaller closure, or on the same one, its bond
+    derived through the element between. False when there is no such pair."""
+    pair = next((p for p in system["leq"] if bool(_between(system, *p)) != covering), None)
+    if pair is None:
+        return False
+    system["leq"].remove(pair)
+    del system["maps"][f"{pair[1]}->{pair[0]}"]
+    return True
+
+
+def test_sequence_systems_share_an_index_declared_alike(tmp_path, capsys):
+    # The middle and quotient of a sequence document that declare the sub's
+    # "indices" and "leq" share its QuasiOrder. A quotient that declares the
+    # same order otherwise builds its own, and les reports on it as on the
+    # canonical document; one that declares another order is refused with
+    # one error line.
+    rng = random.Random(2323)
+    docs = [ses_to_doc(_constant_ses())]
+    while len(docs) < 6:
+        doc = ses_to_doc(random_ses(rng, split=len(docs) % 2 == 0))
+        if len(doc["sub"]["leq"]) >= 2:
+            docs.append(json.loads(json.dumps(doc)))
+
+    def les(doc, name):
+        path = str(tmp_path / name)
+        write_document(doc, path)
+        status = main(["les", "--ses", path, "--max-degree", "2", "--json"])
+        return status, capsys.readouterr()
+
+    def masked(out):
+        payload = json.loads(out)
+        del payload["command"], payload["stats"]["seconds"]
+        return payload
+
+    alike = {
+        "reversed": lambda leq: leq[::-1],
+        "duplicate": lambda leq: leq + leq[:1],
+        "reflexive": lambda leq: leq + [[leq[0][0], leq[0][0]]],
+    }
+    refused = transitive = 0
+    for i, base in enumerate(docs):
+        e = ses_from_doc(base)
+        assert e.sub.index is e.mid.index is e.quot.index
+        status, canonical = les(base, f"ses-{i}.json")
+        assert status == 0
+        variants = []
+        for name, change in alike.items():
+            doc = json.loads(json.dumps(base))
+            doc["quotient"]["leq"] = change(doc["quotient"]["leq"])
+            if doc["quotient"]["leq"] != base["quotient"]["leq"]:
+                variants.append((name, doc))
+        # The quotient keeps a transitive pair the sub and the middle leave out.
+        doc = json.loads(json.dumps(base))
+        if _drop_pair(doc["sub"], covering=False):
+            assert _drop_pair(doc["middle"], covering=False)
+            variants.append(("transitive", doc))
+            transitive += 1
+        for name, doc in variants:
+            e = ses_from_doc(doc)
+            assert e.sub.index is e.mid.index and e.quot.index is not e.sub.index
+            assert e.quot.index == e.sub.index
+            status, captured = les(doc, f"ses-{i}-{name}.json")
+            assert status == 0
+            assert masked(captured.out) == masked(canonical.out)
+        for name in ("elements", "closure"):
+            doc = json.loads(json.dumps(base))
+            if name == "elements":
+                doc["quotient"]["indices"].reverse()
+            else:
+                assert _drop_pair(doc["quotient"], covering=True)
+            status, captured = les(doc, f"ses-{i}-{name}.json")
+            lines = captured.err.splitlines()
+            assert status == 2 and captured.out == "" and len(lines) == 1
+            assert lines[0].startswith("error: ")
+            assert lines[0].endswith(
+                "not a short exact sequence: ['the three systems disagree on the index order']"
+            )
+            refused += 1
+    assert refused == 2 * len(docs) and transitive >= 2
 
 
 def _other_index(doc):

@@ -902,8 +902,8 @@ def test_les_stops_at_the_core_height(monkeypatch):
     # reference route's, which builds and eliminates every degree to n_max.
     built, formed = [], []
 
-    def keeping_complex(s, n_max, strict=False):
-        built.append(build_complex(s, n_max, strict=strict))
+    def keeping_complex(s, n_max, strict=False, **kwargs):
+        built.append(build_complex(s, n_max, strict=strict, **kwargs))
         return built[-1]
 
     # The field route reads each complex's own rows, so a formed cohomology
@@ -946,6 +946,45 @@ def test_les_stops_at_the_core_height(monkeypatch):
             assert formed and max(degrees) == top + 1
     assert heights == {0, 1, 2}
     assert les_of_ses(_crown_ses(), 2).groups[("sub", 2)] == GroupInvariants.free(1)
+
+
+def test_equal_but_distinct_indices_give_the_same_report():
+    # les_of_ses restricts the three systems onto one order, which
+    # validate_ses makes safe whenever the three orders are equal, whether
+    # or not they are one object. Here each system gets its own QuasiOrder,
+    # its pairs declared in another order.
+    rng = random.Random(4242)
+    sequences = [_split_constant_ses(), _coupled_cospan_ses(), _crown_ses(True)]
+    sequences += [random_ses(rng, max_elements=5, split=i % 2 == 0) for i in range(9)]
+    smaller = equal = 0
+    for e in sequences:
+        q = e.mid.index
+        pairs = q.related_pairs()
+
+        def apart(s, k):
+            order = QuasiOrder(q.elements, pairs[k:] + pairs[:k])
+            return InverseSystem(order, s.ring, dict(s.ranks), s.bonds())
+
+        distinct = SystemSES(
+            sub=apart(e.sub, 0), mid=apart(e.mid, 1), quot=apart(e.quot, 2),
+            inject=e.inject, project=e.project,
+        )
+        orders = [s.index for s in (distinct.sub, distinct.mid, distinct.quot)]
+        assert orders[0] == orders[1] == orders[2] == q
+        assert len({id(o) for o in orders}) == 3
+        if len(core_elements(q)) < len(q):
+            smaller += 1
+        else:
+            equal += 1
+        for n_max in (1, 3):
+            rep = les_of_ses(distinct, n_max)
+            assert rep == les_of_ses(e, n_max)
+            groups, fields, skipped, positions = _reference_les_of_ses(distinct, n_max)
+            assert (rep.groups, rep.fields, rep.skipped) == (groups, fields, skipped)
+            assert [tuple(p) for p in rep.positions] == [
+                (p.field, p.degree, p.at, p.ok, p.detail) for p in positions
+            ]
+    assert smaller >= 3 and equal >= 3
 
 
 def test_zero_spaces_cost_no_elimination(monkeypatch):
@@ -1106,12 +1145,13 @@ def test_cochain_map_checks_still_fire(monkeypatch, which):
     # the check of the square it sits in must raise, in each degree whose
     # product has rows and columns.
     e = _coupled_cospan_ses()
-    maps = getattr(e, which)
+    # les_of_ses passes each table in sparse form; inject's and project's differ.
+    forms = {r: sparse(x) for r, x in getattr(e, which).items()}
 
     def bumped(degree):
         def levelwise(n, cx_from, cx_to, m):
             out = _levelwise_matrix(n, cx_from, cx_to, m)
-            if m is maps and n == degree:
+            if m == forms and n == degree:
                 out = [dict(row) for row in out]
                 out[0][0] = out[0].get(0, 0) + 1
             return out

@@ -1,5 +1,6 @@
 """Smith normal form, subquotient invariants, and exact solving."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -601,3 +602,45 @@ def test_eliminate_takes_unit_pivots_to_reduced_echelon_form():
             assert rank == len(pivots) + len(_reference_echelon(Field(0), below, width)[0])
     assert all(complete.get(k, 0) >= 80 and incomplete.get(k, 0) >= 30 for k in (0, 4, 6))
     assert riding >= 200
+    # One-row inputs, with the width below, inside and past the row's
+    # columns: the pivot is the lowest column below the width whose entry is
+    # a unit, and a row with no such column is left as it is.
+    kinds = {}
+    for i in range(1800):
+        ring = rings[i % 6]
+        norm = ring.norm
+        row = _random_rows(rng, 1, rng.randint(2, 6), ring == Field(0))[0]
+        row = {j: y for j, x in row.items() if (y := norm(x))}
+        if not row:
+            continue
+        low, high = min(row), max(row)
+        width = rng.choice(
+            (rng.randint(0, low), rng.randint(low + 1, max(low + 1, high)), high + 3, math.inf)
+        )
+        where = "below" if width <= low else "past" if width > high else "inside"
+        pivots, rest = eliminate([row], ring, width)
+        units = [j for j in sorted(row) if j < width and ring.unit(row[j]) is not None]
+        kind = (ring, where, bool(units), any(j < width for j in row))
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if not units:
+            assert (pivots, rest) == ({}, [row])
+            if isinstance(ring, Field):
+                assert (pivots, rest) == _reference_echelon(ring, [row], width)
+        else:
+            q, s = units[0], ring.unit(row[units[0]])
+            assert list(pivots) == [q] and rest == []
+            assert pivots[q] == {j: norm(s * x) for j, x in row.items()}
+            # Below q sit only non-units, so the reference, which pivots on
+            # the first entry it meets, is given the row from q on.
+            tail = {j: x for j, x in row.items() if j >= q}
+            want = _reference_echelon(ring, [tail], q + 1)
+            assert want == ({q: {j: x for j, x in pivots[q].items() if j >= q}}, [])
+        if ring == Ring.integers():
+            want = smith_normal_form(dense([row], high + 1)).invariant_factors
+            assert invariant_factors([row]) == want
+    for ring in rings[:6]:
+        for where in ("below", "inside", "past"):
+            assert kinds.get((ring, where, where != "below", where != "below"), 0) >= 12
+    for ring in rings[:3]:
+        # Entries below the width, none of them a unit.
+        assert sum(n for (r, _, u, some), n in kinds.items() if r == ring and some and not u) >= 10

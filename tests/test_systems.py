@@ -652,10 +652,23 @@ def _ses_reference(e):
     return tuple(violations)
 
 
+def _bumped(table):
+    """A copy of a map table with 1 added to the first entry of its first
+    matrix that has one."""
+    out = dict(table)
+    k, m = next(((k, m) for k, m in table.items() if m.nrows and m.ncols), (None, None))
+    if m is not None:
+        rows = m.mutable_rows()
+        rows[0][0] += 1
+        out[k] = IntMatrix(rows, m.ncols)
+    return out
+
+
 def _ses_draws(ring, count, seed):
     """Seeded random sequences over ``ring`` and their middles in a seeded
-    unimodular basis, each followed by three broken copies: inject zeroed,
-    project doubled, inject doubled."""
+    unimodular basis, each followed by four broken copies: inject zeroed,
+    project doubled, inject doubled, and one entry of each map changed,
+    which can break the commutation with the bonds."""
     rng = random.Random(seed)
     basis = random.Random(seed + 1)
     for _ in range(count):
@@ -666,15 +679,28 @@ def _ses_draws(ring, count, seed):
                 ({k: IntMatrix.zeros(*m.shape) for k, m in e.inject.items()}, e.project),
                 (e.inject, {k: m.scale(2) for k, m in e.project.items()}),
                 ({k: m.scale(2) for k, m in e.inject.items()}, e.project),
+                (_bumped(e.inject), _bumped(e.project)),
             ):
                 yield SystemSES(sub=e.sub, mid=e.mid, quot=e.quot, inject=inject, project=project)
 
 
-KINDS = ("inject not injective", "project not surjective", "not exact at middle")
+KINDS = (
+    "inject not injective",
+    "project not surjective",
+    "not exact at middle",
+    "inject does not commute",
+    "project does not commute",
+)
 
 
 @pytest.mark.parametrize(
-    "modulus,floors", [(0, (20, 20, 40)), (2, (25, 12, 40)), (4, (50, 20, 70)), (6, (35, 15, 50))]
+    "modulus,floors",
+    [
+        (0, (20, 20, 40, 5, 8)),
+        (2, (25, 12, 40, 2, 4)),
+        (4, (50, 20, 70, 16, 14)),
+        (6, (35, 15, 50, 3, 5)),
+    ],
 )
 def test_validate_ses_matches_three_subquotient_reference(monkeypatch, modulus, floors):
     """Over Z each map is reduced once, two ``invariant_factors`` calls per
@@ -696,7 +722,9 @@ def test_validate_ses_matches_three_subquotient_reference(monkeypatch, modulus, 
         got = validate_ses(e).violations
         assert got == want
         if modulus == 0:
-            assert calls[0] == 2 * len(e.mid.index.elements)
+            # An element whose maps compose to nonzero is not reduced.
+            skipped = sum(v.startswith("project * inject nonzero") for v in got)
+            assert calls[0] == 2 * (len(e.mid.index.elements) - skipped)
         kinds.update(k for v in got for k in KINDS if v.startswith(k))
     assert all(kinds[k] >= floor for k, floor in zip(KINDS, floors)), kinds
 
