@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .linalg import IntMatrix, Ring, _integral
+from .linalg import IntMatrix, Ring, _integral, product, sparse
 from .orders import QuasiOrder
 from .systems import InverseSystem
 
@@ -193,8 +193,8 @@ class FreeFunctor:
                     raise FunctorError(
                         f"action of {name!r} has shape {m.shape}, expected {want}"
                     )
-                if category.is_identity(name) and not ring.matrices_equal(
-                    m, IntMatrix.identity(ranks[src])
+                if category.is_identity(name) and not ring.equal(
+                    sparse(m), sparse(IntMatrix.identity(ranks[src]))
                 ):
                     raise FunctorError(f"identity {name!r} does not act as the identity")
                 full[name] = m
@@ -202,12 +202,14 @@ class FreeFunctor:
                 full[name] = IntMatrix.identity(ranks[src])
             else:
                 raise FunctorError(f"no action declared for morphism {name!r}")
+        # Every action has the shape of its morphism's endpoints, so the kept
+        # sparse forms (``linalg.sparse``) compare as the dense matrices would.
         for f in category.morphism_names:
             for g in category.morphism_names:
                 if category.tgt(f) != category.src(g):
                     continue
                 h = category.compose(g, f)
-                if not ring.matrices_equal(full[h], full[f] @ full[g]):
+                if not ring.equal(sparse(full[h]), product(sparse(full[f]), sparse(full[g]))):
                     raise FunctorError(
                         f"functoriality fails: action({h!r}) != action({f!r}) @ action({g!r})"
                     )

@@ -25,7 +25,7 @@ cohomology as all cochains (Roos; C. U. Jensen, LNM 254, 1972), and the
 normalized complex is far smaller. ``build_complex`` with its default
 ``strict=False`` keeps the degenerate tuples (repeated entries) on any
 quasi-order; on the system as given it is the independent oracle route the
-tests compare against, and the complex ``contract`` needs.
+tests compare against.
 
 A call pays for what the core holds. The restriction copies ranks and
 bonds without checking them again, ``build_complex`` enumerates the tuples
@@ -34,10 +34,11 @@ dimension zero costs no product in the identity check and no reduction in
 ``subquotient``. On a one-point core every degree above 0 is zero.
 
 Each differential is assembled and kept in the one sparse form of
-``linalg``, rows of {column: value}. Over Z, ``RoosComplex.cohomology``
-reads H^n from the invariant factors of d_n and d_{n+1}, which the complex
-computes once per differential and keeps, so reading several degrees reduces
-each differential once. Over Z/m it goes through ``linalg.subquotient``, the
+``linalg``, rows of {column: value}, from the forms ``linalg.sparse`` keeps
+on the face-0 matrices. Over Z, ``RoosComplex.cohomology`` reads H^n from
+the invariant factors of d_n and d_{n+1}, which the complex computes once
+per differential and keeps, so reading several degrees reduces each
+differential once. Over Z/m it goes through ``linalg.subquotient``, the
 sparse core of the public oracle ``cohomology_at``.
 
 Degree -1 is the zero module, so the degree-0 differential has empty rows,
@@ -48,15 +49,10 @@ kernel from the equalizer description as an independent route.
 
 from __future__ import annotations
 
-from .linalg import GroupInvariants, Ring, _integral, invariant_factors, product, sparse
-from .linalg import subquotient
+from .linalg import GroupInvariants, Ring, invariant_factors, product, sparse, subquotient
 from .orders import QuasiOrder, chains_upto, face
 from .systems import InvalidSystemError  # noqa: F401  (importable from here too)
 from .systems import InverseSystem, core_elements, require_functorial
-
-
-class IndexNotDominatingError(ValueError):
-    """Contraction requires every index element to lie below the chosen one."""
 
 
 class RoosComplex:
@@ -70,54 +66,45 @@ class RoosComplex:
     face 0 and identity blocks of alternating sign, starting with -1, at
     faces 1..n, accumulating where faces coincide. ``diffs[n]`` is the
     differential from degree n-1 into degree n, ``total_ranks[n-1]`` wide,
-    in the sparse form of ``linalg`` (each distinct face-0 matrix is put in
-    that form once). The complex identity (consecutive differentials compose
-    to zero over the ring) is verified at construction, by a product
-    wherever the three degrees it spans are all nonzero; any other composite
-    is zero by its shape.
+    in the sparse form of ``linalg``, assembled from the form each face-0
+    matrix keeps. The complex identity (consecutive differentials compose to
+    zero over the ring) is verified at construction, by a product wherever
+    the three degrees it spans are all nonzero; any other composite is zero
+    by its shape.
     Over Z, the invariant factors of each differential are computed on the
     first ``cohomology`` call that needs them and kept (``_factors``).
     """
 
     __slots__ = (
-        "ring", "n_max", "blocks", "block_ranks", "offsets", "total_ranks", "diffs",
-        "strict", "system", "_positions", "_factors",
+        "ring", "n_max", "blocks", "block_ranks", "offsets", "total_ranks", "diffs", "_factors",
     )
 
-    def __init__(self, ring: Ring, blocks, block_ranks, faces, strict: bool = False, system=None):
+    def __init__(self, ring: Ring, blocks, block_ranks, faces):
         n_max = len(blocks) - 1
         offsets = []
         totals = []
-        positions = []
         for n in range(n_max + 1):
             offs = []
-            where = {}
             acc = 0
-            for label, r in zip(blocks[n], block_ranks[n]):
+            for r in block_ranks[n]:
                 offs.append(acc)
-                where[label] = (acc, r)
                 acc += r
             offsets.append(tuple(offs))
             totals.append(acc)
-            positions.append(where)
         diffs = [[{} for _ in range(totals[0])]]
-        leads = {}  # id of a face-0 matrix -> (that matrix, kept alive; its sparse form)
         for n in range(1, n_max + 1):
-            below = positions[n - 1]
+            below = dict(zip(blocks[n - 1], offsets[n - 1]))
             rows = []
             for t, r0 in zip(blocks[n], block_ranks[n]):
                 if r0 == 0:
                     continue
                 lead, labels = faces(t)
-                kept = leads.get(id(lead))
-                if kept is None:
-                    kept = leads[id(lead)] = (lead, sparse(lead))
-                col_off = below[labels[0]][0]
-                block = [{col_off + j: x for j, x in row.items()} for row in kept[1]]
+                col_off = below[labels[0]]
+                block = [{col_off + j: x for j, x in row.items()} for row in sparse(lead)]
                 sign = 1
                 for label in labels[1:]:
                     sign = -sign
-                    col = below[label][0]
+                    col = below[label]
                     for target in block:
                         x = target.get(col, 0) + sign
                         if x:
@@ -140,9 +127,6 @@ class RoosComplex:
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "total_ranks", tuple(totals))
         object.__setattr__(self, "diffs", tuple(diffs))
-        object.__setattr__(self, "strict", strict)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "_positions", tuple(positions))
         object.__setattr__(self, "_factors", [None] * (n_max + 1))
 
     def __setattr__(self, *_):
@@ -150,13 +134,6 @@ class RoosComplex:
 
     def dimension(self, n: int) -> int:
         return self.total_ranks[n]
-
-    def block_position(self, n: int, label):
-        """(offset, rank) of the block labeled ``label`` in degree n."""
-        try:
-            return self._positions[n][label]
-        except KeyError:
-            raise ValueError(f"no block {label!r} in degree {n}") from None
 
     def _invariant_factors(self, n: int) -> list:
         factors = self._factors[n]
@@ -200,7 +177,7 @@ def build_complex(
     blocks = chains_upto(s.index, n_max, strict) if blocks is None else blocks[: n_max + 1]
     block_ranks = [[s.rank(t[0]) for t in blocks[n]] for n in range(n_max + 1)]
     faces = lambda t: (s.bond(t[0], t[1]), [face(t, k) for k in range(len(t))])
-    return RoosComplex(s.ring, blocks, block_ranks, faces, strict=strict, system=s)
+    return RoosComplex(s.ring, blocks, block_ranks, faces)
 
 
 def limit_complex(s: InverseSystem, n_max: int, degenerate: bool = False) -> RoosComplex:
@@ -252,109 +229,3 @@ def limit_direct(s: InverseSystem) -> GroupInvariants:
             rows.append(row)
     return subquotient([{} for _ in range(acc)], rows, 0, s.ring)
 
-
-class Cochain:
-    """A degree-n element of a built complex, stored as one flat vector."""
-
-    __slots__ = ("complex", "degree", "vector")
-
-    def __init__(self, complex: RoosComplex, degree: int, vector):
-        if not 0 <= degree <= complex.n_max:
-            raise ValueError(f"degree {degree} outside built range 0..{complex.n_max}")
-        norm = complex.ring.norm
-        vector = tuple(norm(x if type(x) is int else _integral(x)) for x in vector)
-        if len(vector) != complex.dimension(degree):
-            raise ValueError(
-                f"vector length {len(vector)} != degree-{degree} dimension "
-                f"{complex.dimension(degree)}"
-            )
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "vector", vector)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Cochain is immutable")
-
-    @classmethod
-    def zero(cls, cx: RoosComplex, degree: int) -> "Cochain":
-        return cls(cx, degree, [0] * cx.dimension(degree))
-
-    @classmethod
-    def from_values(cls, cx: RoosComplex, degree: int, values: dict) -> "Cochain":
-        vec = [0] * cx.dimension(degree)
-        for label, block in values.items():
-            off, r = cx.block_position(degree, label)
-            block = list(block)
-            if len(block) != r:
-                raise ValueError(f"block at {label!r} has length {len(block)}, rank is {r}")
-            vec[off : off + r] = block
-        return cls(cx, degree, vec)
-
-    def value(self, label) -> tuple:
-        off, r = self.complex.block_position(self.degree, label)
-        return self.vector[off : off + r]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and self.complex is other.complex
-            and self.vector == other.vector
-        )
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._match(other)
-        return Cochain(
-            self.complex, self.degree, [a + b for a, b in zip(self.vector, other.vector)]
-        )
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._match(other)
-        return Cochain(
-            self.complex, self.degree, [a - b for a, b in zip(self.vector, other.vector)]
-        )
-
-    def scale(self, c: int) -> "Cochain":
-        return Cochain(self.complex, self.degree, [c * a for a in self.vector])
-
-    def _match(self, other: "Cochain") -> None:
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise ValueError("cochains live in different complexes or degrees")
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.vector)
-
-
-def delta(u: Cochain) -> Cochain:
-    """Apply the coboundary; needs the complex built one degree further."""
-    cx = u.complex
-    if u.degree + 1 > cx.n_max:
-        raise ValueError("complex not built deep enough to apply the coboundary")
-    v = u.vector
-    rows = cx.diffs[u.degree + 1]
-    return Cochain(cx, u.degree + 1, [sum(x * v[j] for j, x in row.items()) for row in rows])
-
-
-def contract(u: Cochain, f) -> Cochain:
-    """Evaluate u on tuples extended by a dominating index element f.
-
-    The result v has degree one less, with v at h equal to u at (h, f).
-    Satisfies delta(contract(u, f)) = contract(delta(u), f) - sign * u with
-    sign = (-1) ** (u.degree + 1), which is the identity the induction on
-    trivializations runs on (tested entrywise, not assumed).
-    """
-    cx = u.complex
-    if cx.system is None:
-        raise ValueError("contraction needs a complex built from a system")
-    if cx.strict:
-        raise ValueError("contraction needs the degenerate-tuple complex")
-    if u.degree < 1:
-        raise ValueError("contraction lowers degree; need degree >= 1")
-    index = cx.system.index
-    for e in index.elements:
-        if not index.leq(e, f):
-            raise IndexNotDominatingError(f"index element {e!r} is not below {f!r}")
-    vec = []
-    for t in cx.blocks[u.degree - 1]:
-        vec.extend(u.value(t + (f,)))
-    return Cochain(cx, u.degree - 1, vec)

@@ -17,7 +17,6 @@ composite bonds whatever the products give.
 from __future__ import annotations
 
 from .category import FiniteCategory, thin_category
-from .complexes import Cochain, RoosComplex
 from .linalg import IntMatrix, Ring
 from .orders import QuasiOrder
 from .systems import InverseSystem, SystemSES
@@ -140,10 +139,6 @@ def random_cofinal_subset(rng, q: QuasiOrder) -> list:
         if rng.random() < 0.5:
             keep.add(e)
     return [e for e in q.elements if e in keep]
-
-
-def random_cochain(rng, cx: RoosComplex, degree: int, lo: int = -4, hi: int = 4) -> Cochain:
-    return Cochain(cx, degree, [rng.randint(lo, hi) for _ in range(cx.dimension(degree))])
 
 
 def _free_path_count(objects, edges) -> int:

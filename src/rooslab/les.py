@@ -26,8 +26,8 @@ as extra columns.
 
 Each induced map (f_n into the middle, g_n onto the quotient, and the
 connecting map) is the out-map at one position and the in-map at the next;
-it is ranked once per run and its rank read at both. The levelwise maps are
-put in sparse form once per call.
+it is ranked once per run and its rank read at both. The levelwise maps
+are read in the sparse form ``linalg.sparse`` keeps on each matrix.
 
 Over Z or Z/m one run can serve every field. When more than one applies,
 the route first runs once over the base ring R, whose units alone are
@@ -44,13 +44,14 @@ it does when only one field applies, where a shared run saves nothing.
 
 The route pays only for the spaces the core carries; on a one-point core
 every cochain space above degree 0 is zero. ``_echelon`` never sees an empty
-list of rows: a rank of no vectors is 0, a cohomology whose neighbouring
-space is zero has no differential to eliminate, and a solve with no rows or
-no right-hand sides has the zero solutions. Every zero-dimensional space
-shares one empty cohomology object. A position whose in-map or out-map is
-empty has a zero composite without a scan, and a cochain-map square whose
-product has no rows or no columns is the same empty matrix on both sides, so
-it is not multiplied. Every check still runs wherever it can fail.
+list of rows: a rank of no vectors, or of zero vectors only, is 0, a
+cohomology whose neighbouring space is zero has no differential to
+eliminate, and a solve with no rows or no right-hand sides has the zero
+solutions. Every zero-dimensional space shares one empty cohomology object.
+A position whose in-map or out-map is empty has a zero composite without a
+scan, and a cochain-map square whose product has no rows or no columns is
+the same empty matrix on both sides, so it is not multiplied. Every check
+still runs wherever it can fail.
 
 Nor does the route run past the core's height h, one less than the number
 of entries of its longest strict chain (``_height``). A normalized cochain
@@ -177,8 +178,9 @@ def _echelon(field, rows, width) -> tuple[dict, list]:
 
 
 def _pivots(field: Field, rows: list, width) -> dict:
-    """The pivot rows of ``_echelon``; a list of no rows has none."""
-    return _echelon(field, rows, width)[0] if rows else {}
+    """The pivot rows of ``_echelon``; a list of empty rows, or of none, has
+    none."""
+    return _echelon(field, rows, width)[0] if any(rows) else {}
 
 
 def _rank(field: Field, vectors) -> int:
@@ -301,13 +303,13 @@ def _prime_divisors(modulus: int) -> list[int]:
     return out
 
 
-def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, forms: dict) -> list:
+def _levelwise_matrix(n: int, cx_from: RoosComplex, cx_to: RoosComplex, table) -> list:
     """The levelwise maps in degree n, from C^n of cx_from to C^n of cx_to,
     as one block-diagonal sparse matrix: at the block of each tuple t, the
-    map at its first entry, whose sparse form ``forms`` holds."""
+    sparse form of the map ``table`` holds at its first entry."""
     rows = []
     for t, col_off in zip(cx_to.blocks[n], cx_from.offsets[n]):
-        rows += ({col_off + b: x for b, x in row.items()} for row in forms[t[0]])
+        rows += ({col_off + b: x for b, x in row.items()} for row in sparse(table[t[0]]))
     return rows
 
 
@@ -383,10 +385,8 @@ def les_of_ses(e: SystemSES, n_max: int, fields=None) -> LesReport:
         groups[("mid", n)] = cx_mid.cohomology(n) if n <= top else trivial
         groups[("quot", n)] = cx_quot.cohomology(n) if n <= top else trivial
 
-    inj_forms = {r: sparse(e.inject[r]) for r in index.elements}
-    prj_forms = {r: sparse(e.project[r]) for r in index.elements}
-    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, inj_forms) for n in range(top + 2)}
-    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, prj_forms) for n in range(top + 1)}
+    inj = {n: _levelwise_matrix(n, cx_sub, cx_mid, e.inject) for n in range(top + 2)}
+    prj = {n: _levelwise_matrix(n, cx_mid, cx_quot, e.project) for n in range(top + 1)}
     # Both sides of a cochain-map square are C^n(from) -> C^{n+1}(to); with
     # either space zero they are the same empty matrix.
     for n in range(top + 1):

@@ -21,9 +21,10 @@ Differentials, and every matrix reduced here, have one sparse form: a list
 of rows, each {column: nonzero int}, of a width the caller knows. Only this
 module builds it (``sparse``, ``product``, ``columns``) and compares it over
 a ring (``Ring.is_zero``, ``Ring.equal``). ``IntMatrix`` is dense and
-immutable, for documents, bonds and the residual block of the Smith form.
-Entries are plain Python integers: exactness matters, machine precision
-does not.
+immutable, for documents, bonds and the residual block of the Smith form;
+``sparse`` builds its form once and keeps it on the matrix, so every caller
+shares that one form and only reads it. Entries are plain Python integers:
+exactness matters, machine precision does not.
 """
 
 from __future__ import annotations
@@ -98,11 +99,6 @@ class Ring:
             for j in ra.keys() | rb.keys()
         )
 
-    def matrices_equal(self, a: "IntMatrix", b: "IntMatrix") -> bool:
-        if a.shape != b.shape:
-            return False
-        return a.rows == b.rows if self.modulus == 0 else self.equal(sparse(a), sparse(b))
-
 
 _Z = Ring.integers()
 
@@ -117,9 +113,10 @@ def _integral(x) -> int:
 
 
 class IntMatrix:
-    """Immutable dense integer matrix with explicit shape (0-sized sides allowed)."""
+    """Immutable dense integer matrix with explicit shape (0-sized sides allowed).
+    ``_form`` holds its sparse form once ``sparse`` has built it."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_form")
 
     def __init__(self, rows, ncols: int | None = None):
         frozen = tuple(
@@ -185,12 +182,6 @@ class IntMatrix:
     def mutable_rows(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
-    def neg(self) -> "IntMatrix":
-        return IntMatrix._trusted([[-x for x in row] for row in self.rows], self.ncols)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix._trusted([[c * x for x in row] for row in self.rows], self.ncols)
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Matrix product; the zeros of both factors are skipped, the right
         one's through its sparse form."""
@@ -215,19 +206,6 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
 
-    def matvec(self, v) -> list[int]:
-        v = list(v)
-        if len(v) != self.ncols:
-            raise ShapeMismatchError(f"matvec {self.shape} by vector of {len(v)}")
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, x in zip(row, v):
-                if a and x:
-                    acc += a * x
-            out.append(acc)
-        return out
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ShapeMismatchError(f"hstack {self.shape} with {other.shape}")
@@ -242,16 +220,24 @@ class IntMatrix:
 
 
 # The slot descriptors' setters: ``_trusted`` fills a new matrix through them,
-# past the ``__setattr__`` that keeps every matrix immutable.
+# and ``sparse`` keeps a form on one, past the ``__setattr__`` that keeps every
+# matrix immutable.
 _SET_ROWS = IntMatrix.rows.__set__
 _SET_NROWS = IntMatrix.nrows.__set__
 _SET_NCOLS = IntMatrix.ncols.__set__
+_SET_FORM = IntMatrix._form.__set__
 
 
 def sparse(m: IntMatrix) -> list[dict]:
     """The sparse form of m: each row as {column: entry} for its nonzero
-    entries, of width ``m.ncols``."""
-    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+    entries, of width ``m.ncols``. Built on the first call and kept on m,
+    which is immutable, so every later call returns the same list: callers
+    share it and must not change it."""
+    form = getattr(m, "_form", None)
+    if form is None:
+        form = [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+        _SET_FORM(m, form)
+    return form
 
 
 def product(a: list, b: list) -> list[dict]:

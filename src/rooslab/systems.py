@@ -92,7 +92,7 @@ class InverseSystem:
             ident = identities.get(r)
             if ident is None:
                 ident = identities[r] = IntMatrix.identity(r)
-            if (e, e) in declared and not ring.matrices_equal(declared[(e, e)], ident):
+            if (e, e) in declared and not ring.equal(sparse(declared[(e, e)]), sparse(ident)):
                 raise BondError(f"diagonal bond at {e!r} is not the identity")
             full[(e, e)] = ident
         pairs = index.related_pairs()
@@ -214,10 +214,8 @@ def validate_system(s: InverseSystem) -> SystemReport:
     # Up-sets in position order visit the triples lam <= mu <= nu in the
     # order of a loop over all three. The constructor makes every diagonal
     # bond exactly the identity, so a triple with lam == mu or mu == nu
-    # composes to the other bond verbatim. Each bond is put in sparse form
-    # once, the first time a triple needs it.
-    forms = {}
-    form = lambda pair: forms.get(pair) or forms.setdefault(pair, sparse(bonds[pair]))
+    # composes to the other bond verbatim. Each bond keeps its sparse form
+    # (``linalg.sparse``), built the first time a triple needs it.
     up = s.index.up_sets()
     after = {}
     for lam in s.index.elements:
@@ -226,9 +224,12 @@ def validate_system(s: InverseSystem) -> SystemReport:
                 continue
             rights = after.get(mu)
             if rights is None:
-                rights = after[mu] = [(nu, form((mu, nu))) for nu in up[mu] if nu != mu]
+                rights = after[mu] = [(nu, sparse(bonds[mu, nu])) for nu in up[mu] if nu != mu]
+            if not rights:
+                continue
+            left = sparse(bonds[lam, mu])
             for nu, right in rights:
-                if not ring.equal(product(form((lam, mu)), right), form((lam, nu))):
+                if not ring.equal(product(left, right), sparse(bonds[lam, nu])):
                     violations.append((lam, mu, nu))
     report = SystemReport(ok=not violations, violations=tuple(violations))
     object.__setattr__(s, "_report", report)
@@ -275,7 +276,7 @@ def core_elements(index: QuasiOrder) -> list:
     {q > p} has a least element, the first such p is removed. Each removal
     is homotopy final: for every x, the elements left that lie above x have
     a least element, x itself when x is not p and the least element of p's
-    strict up-set when it is, so every comma poset is contractible. Hence
+    strict up-set when it is, so the nerve of every comma poset is a cone. Hence
     lim^n of every system is unchanged in every degree (Quillen's Theorem A;
     Jensen, LNM 254, on the cofinality of lim^n). An index with a maximum,
     a chain for one, shrinks to one point. ``limit_complex`` and

@@ -8,8 +8,9 @@ their answers off those transforms. None of this has a production caller:
 it is the independent route that the tests hold the library's transform-free
 Smith diagonal, its cohomology and the per-field echelon form of ``les``
 against. ``dense`` and ``differential`` read the library's sparse form back
-into dense matrices, and ``is_zero_over`` tests one, for the tests that
-multiply or compare densely.
+into dense matrices, and ``is_zero_over`` and ``matrices_equal`` test and
+compare them, for the tests that multiply or compare densely; ``neg``,
+``scale`` and ``matvec`` are the dense arithmetic those tests need.
 """
 
 from __future__ import annotations
@@ -32,6 +33,30 @@ def differential(cx, n: int) -> IntMatrix:
 def is_zero_over(ring: Ring, m: IntMatrix) -> bool:
     """Whether every entry of the dense matrix m is zero over the ring."""
     return all(ring.norm(x) == 0 for row in m.rows for x in row)
+
+
+def matrices_equal(ring: Ring, a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether the dense matrices a and b have one shape and are equal,
+    entry by entry, over the ring."""
+    return a.shape == b.shape and all(
+        ring.norm(x - y) == 0 for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)
+    )
+
+
+def neg(m: IntMatrix) -> IntMatrix:
+    return IntMatrix([[-x for x in row] for row in m.rows], m.ncols)
+
+
+def scale(m: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix([[c * x for x in row] for row in m.rows], m.ncols)
+
+
+def matvec(m: IntMatrix, v) -> list[int]:
+    """The product of m and the vector v, as a list."""
+    v = list(v)
+    if len(v) != m.ncols:
+        raise ShapeMismatchError(f"matvec {m.shape} by vector of {len(v)}")
+    return [sum(a * x for a, x in zip(row, v)) for row in m.rows]
 
 
 @dataclass(frozen=True)
@@ -277,9 +302,9 @@ def solve(m: IntMatrix, b, ring: Ring) -> list[int] | None:
     if ring.is_integers:
         a = m
     else:
-        a = m.hstack(IntMatrix.identity(m.nrows).scale(ring.modulus))
+        a = m.hstack(scale(IntMatrix.identity(m.nrows), ring.modulus))
     snf = smith_normal_form(a, want_u_inv=False, want_v_inv=False)
-    c = snf.u.matvec(b)
+    c = matvec(snf.u, b)
     diag = snf.diagonal
     y = [0] * a.ncols
     for i, ci in enumerate(c):
@@ -290,7 +315,7 @@ def solve(m: IntMatrix, b, ring: Ring) -> list[int] | None:
             y[i] = ci // d
         elif ci:
             return None
-    x_full = snf.v.matvec(y)
+    x_full = matvec(snf.v, y)
     x = x_full[: m.ncols]
     if not ring.is_integers:
         x = [v % ring.modulus for v in x]

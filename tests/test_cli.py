@@ -30,7 +30,7 @@ from rooslab.io import (
     tree_to_doc,
     write_system,
 )
-from rooslab.linalg import IntMatrix, Ring
+from rooslab.linalg import IntMatrix, Ring, sparse
 from rooslab.orders import QuasiOrder
 from rooslab.systems import TRUNCATION_NOTE, InverseSystem, SystemSES
 
@@ -154,6 +154,46 @@ def _generated_runs(tmp_path):
         runs.append(["tree", "build", "--instance", path, "--depth", str(min(t.length, 2))])
         runs.append(["tree", "separate", "--instance", path, "--depth", "1"])
     return runs
+
+
+def test_commands_leave_every_kept_sparse_form_unchanged(tmp_path, monkeypatch, capsys):
+    # linalg.sparse keeps one form on each matrix, and every caller shares it
+    # and only reads it. After limit, verify, les and nerve on generated
+    # inputs, each bond, inject and project matrix and functor action that
+    # keeps a form keeps the one a fresh conversion of its rows gives.
+    made = []
+
+    def recording(make):
+        def wrapped(*args, **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    for name in ("parse_system", "parse_ses", "corepresented_system"):
+        monkeypatch.setattr(rooslab.cli, name, recording(getattr(rooslab.cli, name)))
+    commands = {"limit": 0, "verify": 0, "les": 0, "nerve": 0}
+    for argv in _generated_runs(tmp_path):
+        if argv[0] in commands:
+            assert main(argv) == 0, argv
+            commands[argv[0]] += 1
+    capsys.readouterr()
+    matrices = {"bond": [], "levelwise": [], "action": []}
+    for obj in made:
+        if isinstance(obj, InverseSystem):
+            matrices["bond"] += obj.bonds().values()
+        elif isinstance(obj, SystemSES):
+            for s in (obj.sub, obj.mid, obj.quot):
+                matrices["bond"] += s.bonds().values()
+            matrices["levelwise"] += [*obj.inject.values(), *obj.project.values()]
+        else:
+            matrices["action"] += map(obj.action, obj.category.morphism_names)
+    assert all(commands.values()) and len(made) == sum(commands.values())
+    floors = {"bond": 40, "levelwise": 10, "action": 10}
+    for kind, ms in matrices.items():
+        kept = {id(m): m for m in ms if getattr(m, "_form", None) is not None}
+        for m in kept.values():
+            assert sparse(m) == [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+        assert len(kept) >= floors[kind], (kind, len(kept))
 
 
 def _hand_made_reports():

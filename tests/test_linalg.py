@@ -24,7 +24,17 @@ from rooslab.linalg import (
 )
 from rooslab.les import Field
 
-from oracle_linalg import dense, differential, is_zero_over, kernel_basis, smith_normal_form, solve
+from oracle_linalg import (
+    dense,
+    differential,
+    is_zero_over,
+    kernel_basis,
+    matvec,
+    neg,
+    scale,
+    smith_normal_form,
+    solve,
+)
 from test_les import _reference_echelon
 
 
@@ -268,12 +278,12 @@ def test_solve_random_consistency():
         ring = rng.choice([Ring.integers(), Ring.modular(2), Ring.modular(6)])
         m = _random_matrix(rng, nrows, ncols, -4, 4)
         x0 = [rng.randint(-3, 3) for _ in range(ncols)]
-        b = m.matvec(x0)
+        b = matvec(m, x0)
         if not ring.is_integers:
             b = [v % ring.modulus for v in b]
         x = solve(m, b, ring)
         assert x is not None
-        got = m.matvec(x)
+        got = matvec(m, x)
         if ring.is_integers:
             assert got == b
         else:
@@ -298,9 +308,9 @@ def test_solve_reports_unsolvable():
             if ncols <= 2:
                 from itertools import product
 
-                assert all(m.matvec(list(c)) != b for c in product(box, repeat=ncols))
+                assert all(matvec(m, list(c)) != b for c in product(box, repeat=ncols))
         else:
-            assert m.matvec(x) == b
+            assert matvec(m, x) == b
     assert found_none > 10
 
 
@@ -361,6 +371,24 @@ def test_matrix_literal_checks():
     for got, rows in built:
         want = IntMatrix(rows, len(rows[0]) if rows else 3)
         assert got.shape == want.shape and got == want and got.rows == want.rows
+
+
+def test_sparse_form_is_built_once_and_kept():
+    # The form is built on the first call and kept on the immutable matrix:
+    # every caller shares it. Matrices that are equal but distinct each keep
+    # their own, and the form stays out of equality and hashing.
+    m = IntMatrix([[0, 2, 0], [0, 0, 0], [-1, 0, 3]])
+    form = sparse(m)
+    assert form == [{1: 2}, {}, {0: -1, 2: 3}]
+    assert sparse(m) is form
+    twin = IntMatrix(m.rows)
+    assert twin == m and hash(twin) == hash(m)
+    assert sparse(twin) == form and sparse(twin) is not form
+    with pytest.raises(AttributeError, match="immutable"):
+        m._form = []
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        empty = IntMatrix.zeros(*shape)
+        assert sparse(empty) is sparse(empty) == [{} for _ in range(shape[0])]
 
 
 def _sparse_unit_matrix(rng, nrows, ncols):
@@ -470,11 +498,11 @@ def _cohomology_by_transforms(d_in, d_out, ring):
         a, b = d_out, d_in
     else:
         k = ring.modulus
-        a = d_out.hstack(IntMatrix.identity(d_out.nrows).scale(k))
+        a = d_out.hstack(scale(IntMatrix.identity(d_out.nrows), k))
         tail = d_out @ d_in
         lift_in = IntMatrix([[-x // k for x in row] for row in tail.rows], tail.ncols)
-        b = d_in.hstack(IntMatrix.identity(d_out.ncols).scale(k))
-        b = b.vstack(lift_in.hstack(d_out.neg()))
+        b = d_in.hstack(scale(IntMatrix.identity(d_out.ncols), k))
+        b = b.vstack(lift_in.hstack(neg(d_out)))
     snf = smith_normal_form(a, want_u=False, want_u_inv=False)
     diag = snf.diagonal
     kernel_idx = [j for j in range(a.ncols) if j >= len(diag) or diag[j] == 0]

@@ -24,7 +24,7 @@ from rooslab.systems import (
     validate_system,
 )
 
-from oracle_linalg import is_zero_over
+from oracle_linalg import is_zero_over, matrices_equal, scale
 from unimodular import conjugated_ses, unimodular
 
 
@@ -118,7 +118,7 @@ def _all_triples_violations(s):
             for nu in elems:
                 if s.index.leq(mu, nu):
                     left = s.bond(lam, mu) @ s.bond(mu, nu)
-                    if not s.ring.matrices_equal(left, s.bond(lam, nu)):
+                    if not matrices_equal(s.ring, left, s.bond(lam, nu)):
                         out.append((lam, mu, nu))
     return tuple(out)
 
@@ -643,11 +643,11 @@ def _ses_reference(e):
             continue
         left = e.inject[lam] @ e.sub.bond(lam, mu)
         right = e.mid.bond(lam, mu) @ e.inject[mu]
-        if not ring.matrices_equal(left, right):
+        if not matrices_equal(ring, left, right):
             violations.append(f"inject does not commute with bond ({lam!r}, {mu!r})")
         left = e.project[lam] @ e.mid.bond(lam, mu)
         right = e.quot.bond(lam, mu) @ e.project[mu]
-        if not ring.matrices_equal(left, right):
+        if not matrices_equal(ring, left, right):
             violations.append(f"project does not commute with bond ({lam!r}, {mu!r})")
     return tuple(violations)
 
@@ -677,8 +677,8 @@ def _ses_draws(ring, count, seed):
             yield e
             for inject, project in (
                 ({k: IntMatrix.zeros(*m.shape) for k, m in e.inject.items()}, e.project),
-                (e.inject, {k: m.scale(2) for k, m in e.project.items()}),
-                ({k: m.scale(2) for k, m in e.inject.items()}, e.project),
+                (e.inject, {k: scale(m, 2) for k, m in e.project.items()}),
+                ({k: scale(m, 2) for k, m in e.inject.items()}, e.project),
                 (_bumped(e.inject), _bumped(e.project)),
             ):
                 yield SystemSES(sub=e.sub, mid=e.mid, quot=e.quot, inject=inject, project=project)
